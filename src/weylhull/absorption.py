@@ -15,13 +15,11 @@ from typing import Sequence
 
 from . import coefficients as coef
 
-ExactRational = Fraction
-
 #: largest n for which the absorb-side tail is recomputed from the full row
 #: as an internal cross-check of the parity identity
 _CROSS_CHECK_CAP = 200
 
-KINDS = ("bridge-A", "walk-B", "walk-D", "joint-B", "wendel")
+KINDS = tuple(coef.WALK_TYPES) + ("joint-B", "wendel")
 
 
 @dataclass(frozen=True)
@@ -66,15 +64,14 @@ class WalkFamily:
         return self.steps
 
     @property
+    def reflection_type(self) -> coef.ReflectionType:
+        """The family's type; joint walks are products of type-B walks."""
+        return coef.WALK_TYPES.get(self.kind, coef.TYPES["B"])
+
+    @property
     def within_hypotheses(self) -> bool:
-        n, d = self.n_total, self.dimension
-        if self.kind == "bridge-A":
-            return n >= d + 1
-        if self.kind == "walk-B":
-            return n >= d
-        if self.kind == "walk-D":
-            return n >= max(2, d)
-        return n >= d  # joint-B / wendel
+        t = self.reflection_type
+        return self.n_total >= max(t.min_n, self.dimension + t.lineality)
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,6 @@ class AbsorptionResult:
 
 def _parity_tail(values: Sequence[int], start: int) -> int:
     """values[start] + values[start+2] + ... (missing indices count as 0)."""
-    if start < 0:
-        start += 2 * ((1 - start) // 2)  # smallest index >= 0 of same parity
     return sum(values[k] for k in range(start, len(values), 2))
 
 
@@ -112,23 +107,13 @@ def _clamp_same_parity(start: int, n: int) -> int:
 
 def _family_data(family: WalkFamily):
     """(group order, full-row callable, prefix callable) for the family."""
-    n, d = family.n_total, family.dimension
-    if family.kind == "bridge-A":
-        order = math.factorial(n)
-        return order, lambda: coef.stirling_row(n).coeffs, lambda k: coef.stirling_prefix(n, k)
-    if family.kind == "walk-B":
-        order = 2 ** n * math.factorial(n)
-        return order, lambda: coef.b_row(n).coeffs, lambda k: coef.b_prefix(n, k)
-    if family.kind == "walk-D":
-        if n < 2:
-            raise ValueError("walk-D needs n >= 2")
-        order = 2 ** (n - 1) * math.factorial(n)
-        return order, lambda: coef.d_row(n).coeffs, lambda k: coef.d_prefix(n, k)
-    # joint-B / wendel
+    n = family.n_total
+    t = coef.WALK_TYPES.get(family.kind)
+    if t is not None:
+        t.check(n)
+        return t.order(n), lambda: t.row(n).coeffs, lambda k: t.prefix(n, k)
     ns = family.ns
-    order = 1
-    for ni in ns:
-        order *= 2 ** ni * math.factorial(ni)
+    order = math.prod(family.reflection_type.order(ni) for ni in ns)
     row = lambda: coef.product_row(ns).coeffs
     return order, row, lambda k: row()[: k + 1]
 
@@ -143,28 +128,21 @@ def absorption_probability(family: WalkFamily) -> AbsorptionResult:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     order, row_fn, prefix_fn = _family_data(family)
-    # the non-absorb side indexes downward from d-ish, so it only ever needs a
-    # short prefix of the row; the absorb side follows by complement
-    if family.kind == "bridge-A":
-        lo_start, hi_start = d, d + 2
-    else:
-        lo_start, hi_start = d - 1, d + 1
+    # the non-absorb side indexes downward from d - 1 plus the lineality, so
+    # it only ever needs a short prefix of the row; the absorb side follows
+    # by complement
+    lo_start = d - 1 + family.reflection_type.lineality
     start = _clamp_same_parity(lo_start, n)
     prefix = prefix_fn(start) if start >= 0 else ()
     non_absorb = Fraction(2 * _prefix_parity_tail(prefix, start), order)
     absorb = 1 - non_absorb
     if n <= _CROSS_CHECK_CAP and family.within_hypotheses:
-        direct = Fraction(2 * _parity_tail(row_fn(), hi_start), order)
+        direct = Fraction(2 * _parity_tail(row_fn(), lo_start + 2), order)
         if direct != absorb:
             raise AssertionError(
                 f"parity identity violated for {family}: {direct} vs {absorb}"
             )
     return AbsorptionResult(absorb, non_absorb, family, family.within_hypotheses)
-
-
-def non_absorption_probability(family: WalkFamily) -> Fraction:
-    """Probability that the hull misses the origin (complementary tail sum)."""
-    return absorption_probability(family).non_absorb
 
 
 def wendel_probability(r: int, d: int) -> Fraction:
@@ -197,17 +175,12 @@ def absorption_probability_float(family: WalkFamily) -> float:
     n, d = family.n_total, family.dimension
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    if family.kind == "bridge-A":
-        fam, lo_start = "A", d
-    elif family.kind == "walk-B":
-        fam, lo_start = "B", d - 1
-    elif family.kind == "walk-D":
-        fam, lo_start = "D", d - 1
-    else:
+    t = coef.WALK_TYPES.get(family.kind)
+    if t is None:
         # joint families stay exact (individual walks are short)
         return float(absorption_probability(family).absorb)
-    start = _clamp_same_parity(lo_start, n)
-    pmf = coef.bernoulli_family_lower_pmf(fam, n, max(start, 0))
+    start = _clamp_same_parity(d - 1 + t.lineality, n)
+    pmf = coef.bernoulli_family_lower_pmf(t.name, n, max(start, 0))
     non_absorb = 2.0 * sum(pmf[k] for k in range(start, -1, -2))
     return 1.0 - non_absorb
 

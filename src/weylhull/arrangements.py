@@ -13,17 +13,15 @@ import math
 from functools import lru_cache
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import exactlp
-from .coefficients import expand_linear_factors
+from .coefficients import reflection_type
 
 #: hard cap on the 2^m Whitney subset sum
 WHITNEY_CAP = 20
 #: hard cap on brute-force region enumeration
 ENUMERATION_CAP = 16
-
-REFLECTION_TYPES = ("A", "B", "D")
 
 
 class CapExceededError(Exception):
@@ -31,19 +29,10 @@ class CapExceededError(Exception):
 
 
 def _normalize_normal(normal: Sequence) -> tuple[int, ...]:
-    fr = [Fraction(x) for x in normal]
-    if not any(fr):
+    ints = exactlp.primitive_row(normal)
+    if not any(ints):
         raise ValueError("hyperplane normal must be nonzero")
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fr]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
+    if next(v for v in ints if v != 0) < 0:
         ints = [-v for v in ints]
     return tuple(ints)
 
@@ -113,10 +102,6 @@ class CharacteristicPolynomial:
                 raise ValueError("even/odd coefficient sums differ")
         object.__setattr__(self, "a", a)
 
-    @property
-    def num_hyperplanes(self) -> int:
-        return self.a[self.ambient_dim - 1] if self.ambient_dim >= 1 else 0
-
     def __call__(self, t):
         n = self.ambient_dim
         return sum((-1) ** (n - k) * self.a[k] * t**k for k in range(n + 1))
@@ -145,41 +130,12 @@ class Subspace:
     def codim(self) -> int:
         return self.ambient_dim - self.dim
 
-    @classmethod
-    def from_float_basis(cls, vectors: Iterable[Sequence[float]], ambient_dim: int) -> "Subspace":
-        # floats are dyadic rationals, so this conversion is exact
-        return cls(ambient_dim, tuple(tuple(Fraction(float(x)) for x in v) for v in vectors))
-
 
 def build_reflection_arrangement(kind: str, n: int) -> Arrangement:
     """Mirror arrangement of the reflection group A_{n-1}, B_n or D_n in R^n."""
-    if kind not in REFLECTION_TYPES:
-        raise ValueError(f"unknown reflection type {kind!r}")
-    if kind == "B":
-        if n < 1:
-            raise ValueError("type B needs n >= 1")
-    elif n < 2:
-        raise ValueError(f"type {kind} needs n >= 2")
-    normals: list[tuple[int, ...]] = []
-
-    def unit(i, s=1):
-        v = [0] * n
-        v[i] = s
-        return v
-
-    if kind == "B":
-        normals += [unit(i) for i in range(n)]
-    if kind in ("A", "B", "D"):
-        for i, j in itertools.combinations(range(n), 2):
-            v = [0] * n
-            v[i], v[j] = 1, -1
-            normals.append(v)
-    if kind in ("B", "D"):
-        for i, j in itertools.combinations(range(n), 2):
-            v = [0] * n
-            v[i], v[j] = 1, 1
-            normals.append(v)
-    return Arrangement(n, tuple(Hyperplane(tuple(v)) for v in normals))
+    t = reflection_type(kind)
+    t.check_chamber(n)
+    return Arrangement(n, tuple(Hyperplane(v) for v in t.mirrors(n)))
 
 
 def whitney_characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
@@ -191,26 +147,15 @@ def whitney_characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynom
     if arr.size > WHITNEY_CAP:
         raise CapExceededError(f"Whitney sum capped at {WHITNEY_CAP} hyperplanes")
     n = arr.ambient_dim
-    normals = [tuple(Fraction(x) for x in h.normal) for h in arr.hyperplanes]
+    normals = [h.normal for h in arr.hyperplanes]
     signed = [0] * (n + 1)  # signed[r] = sum of (-1)^#S over subsets of rank r
-
-    def reduce_vector(echelon, v):
-        v = list(v)
-        for pivot_col, row in echelon:
-            if v[pivot_col] != 0:
-                f = v[pivot_col] / row[pivot_col]
-                v = [x - f * y for x, y in zip(v, row)]
-        for col, x in enumerate(v):
-            if x != 0:
-                return col, tuple(v)
-        return None
 
     def rec(i, echelon, size_sign):
         if i == len(normals):
             signed[len(echelon)] += size_sign
             return
         rec(i + 1, echelon, size_sign)
-        step = reduce_vector(echelon, normals[i])
+        step = exactlp.reduce_row(echelon, normals[i])
         if step is None:
             # dependent normal: rank unchanged, only the sign alternates
             rec(i + 1, echelon, -size_sign)
@@ -228,22 +173,11 @@ def whitney_characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynom
 
 
 def reflection_characteristic_polynomial(kind: str, n: int) -> CharacteristicPolynomial:
-    """Closed-form characteristic polynomial of a reflection arrangement."""
-    if kind == "A":
-        if n < 2:
-            raise ValueError("type A needs n >= 2")
-        roots = list(range(n))
-    elif kind == "B":
-        if n < 1:
-            raise ValueError("type B needs n >= 1")
-        roots = list(range(1, 2 * n, 2))
-    elif kind == "D":
-        if n < 2:
-            raise ValueError("type D needs n >= 2")
-        roots = list(range(1, 2 * n - 2, 2)) + [n - 1]
-    else:
-        raise ValueError(f"unknown reflection type {kind!r}")
-    return CharacteristicPolynomial(n, expand_linear_factors(roots).coeffs)
+    """Closed-form characteristic polynomial of a reflection arrangement:
+    prod_i (t - r_i) over the type's characteristic roots."""
+    t = reflection_type(kind)
+    t.check_chamber(n)
+    return CharacteristicPolynomial(n, t.row(n).coeffs)
 
 
 def zaslavsky_region_count(chi: CharacteristicPolynomial) -> int:
@@ -332,15 +266,19 @@ class SubspaceMeetCount:
     mode: str
 
 
+def _traces(arr: Arrangement, sub: Subspace) -> list[tuple[Fraction, ...]]:
+    """Each normal restricted to the subspace, in basis coordinates."""
+    return [tuple(sum(x * y for x, y in zip(h.normal, b)) for b in sub.basis)
+            for h in arr.hyperplanes]
+
+
 def is_general_position(arr: Arrangement, sub: Subspace) -> bool:
     """Every flat of the arrangement meets the subspace with the expected
     dimension.  Checking subsets of at most n normals suffices, since the
     condition depends only on the span of the chosen normals."""
     n = arr.ambient_dim
-    normals = [tuple(Fraction(x) for x in h.normal) for h in arr.hyperplanes]
-    projected = [
-        tuple(sum(h[i] * b[i] for i in range(n)) for b in sub.basis) for h in normals
-    ]
+    normals = [h.normal for h in arr.hyperplanes]
+    projected = _traces(arr, sub)
     for size in range(1, min(len(normals), n) + 1):
         for subset in itertools.combinations(range(len(normals)), size):
             r = exactlp.fraction_rank([normals[i] for i in subset])
@@ -361,11 +299,7 @@ def count_regions_meeting_subspace(
         raise ValueError("dimension mismatch")
     if not 1 <= sub.codim <= arr.ambient_dim - 1:
         raise ValueError("subspace codimension out of range")
-    n = arr.ambient_dim
-    normals = [tuple(Fraction(x) for x in h.normal) for h in arr.hyperplanes]
-    projected = [
-        tuple(sum(h[i] * b[i] for i in range(n)) for b in sub.basis) for h in normals
-    ]
+    projected = _traces(arr, sub)
     count = 0
     for sigma in enumerate_regions(arr):
         rows = [tuple(s * x for x in p) for s, p in zip(sigma, projected)]
@@ -383,12 +317,7 @@ def induced_arrangement(arr: Arrangement, sub: Subspace) -> Arrangement:
     Hyperplanes containing the subspace drop out; coincident traces merge
     through normal canonicalization.
     """
-    n = arr.ambient_dim
-    seen = set()
-    for h in arr.hyperplanes:
-        row = tuple(sum(Fraction(h.normal[i]) * b[i] for i in range(n)) for b in sub.basis)
-        if any(row):
-            seen.add(Hyperplane(row))
+    seen = {Hyperplane(row) for row in _traces(arr, sub) if any(row)}
     return Arrangement(sub.dim, tuple(sorted(seen, key=lambda h: h.normal)))
 
 

@@ -13,22 +13,22 @@ import math
 
 from scipy.special import loggamma
 
-CASES = ("A", "B", "D")
+from .coefficients import reflection_type
 
 #: guard band around the x = 1 singularity of the large-deviation prefactor
 X_GUARD = 0.05
 
 
 def scale_parameter(case: str) -> float:
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    return 1.0 if case == "A" else 0.5
+    return reflection_type(case).u
 
 
 def fixed_dimension_asymptotic(case: str, n: float, d: int) -> float:
-    """Leading-order non-absorption probability for fixed d >= 2.
+    """Leading-order non-absorption probability for fixed d >= 2:
+    2 (u log n)^(d-1) / ((d-1)! Gamma(u) n^u).
 
-    A: 2 (log n)^(d-1) / ((d-1)! n); B/D: (log n)^(d-1) / (2^(d-2) (d-1)! sqrt(pi n)).
+    That is 2 (log n)^(d-1) / ((d-1)! n) for A (u = 1) and
+    (log n)^(d-1) / (2^(d-2) (d-1)! sqrt(pi n)) for B/D (u = 1/2).
     The d = 1 values are exact classical constants and live in absorption.
     """
     u = scale_parameter(case)
@@ -36,10 +36,8 @@ def fixed_dimension_asymptotic(case: str, n: float, d: int) -> float:
         raise ValueError("fixed-dimension formula needs d >= 2")
     if n < 3:
         raise ValueError("need n >= 3")
-    lead = math.log(n) ** (d - 1) / math.factorial(d - 1)
-    if u == 1.0:
-        return 2.0 * lead / n
-    return lead / (2 ** (d - 2) * math.sqrt(math.pi * n))
+    lead = (u * math.log(n)) ** (d - 1) / math.factorial(d - 1)
+    return 2.0 * lead / (math.gamma(u) * n**u)
 
 
 def normal_cdf(a: float) -> float:
@@ -71,19 +69,16 @@ def mod_poisson_limit(z):
     return val.real
 
 
-def _prefactor(case: str, x: float) -> float:
+def _prefactor(u: float, x: float) -> float:
     """Constant of the sharp large-deviation formula, including the
-    geometric-series denominator of the lattice-point sum.
+    geometric-series denominator of the lattice-point sum:
+    2 x^(1/u - 1) / Gamma(1 - u + u x) over |1 - x^2|.
 
-    Type A: (2 / Gamma(x)) / |1 - x^2|.  Types B/D: the tilt step of the
-    underlying occupancy distribution is x^(-1) per unit of d, which gives
-    2^x x Gamma(x/2) / (sqrt(pi) Gamma(x)) over the same |1 - x^2|.
+    Type A (u = 1): 2 / Gamma(x).  Types B/D (u = 1/2): 2 x / Gamma((x+1)/2),
+    which Legendre's duplication formula turns into the tilt-step form
+    2^x x Gamma(x/2) / (sqrt(pi) Gamma(x)) of the occupancy distribution.
     """
-    if case == "A":
-        num = 2.0 / math.gamma(x)
-    else:
-        num = 2.0**x * x * math.gamma(x / 2.0) / (math.sqrt(math.pi) * math.gamma(x))
-    return num / abs(1.0 - x * x)
+    return 2.0 * x ** (1.0 / u - 1.0) / math.gamma(1.0 - u + u * x) / abs(1.0 - x * x)
 
 
 def large_deviation_asymptotic(case: str, n: float, d: int) -> tuple[float, str]:
@@ -100,7 +95,7 @@ def large_deviation_asymptotic(case: str, n: float, d: int) -> tuple[float, str]
     if abs(x - 1.0) <= X_GUARD:
         raise ValueError("x too close to the critical point 1; use clt_approximation")
     rate = u * (x * math.log(x) - x + 1.0)
-    value = n ** (-rate) / math.sqrt(2.0 * math.pi * x * u * math.log(n)) * _prefactor(case, x)
+    value = n ** (-rate) / math.sqrt(2.0 * math.pi * x * u * math.log(n)) * _prefactor(u, x)
     side = "non-absorb" if x < 1.0 else "absorb"
     return value, side
 

@@ -21,16 +21,16 @@ from . import arrangements as arr_mod
 from . import asymptotics as asy
 from . import cones, mc, verify, walks
 from .absorption import KINDS, WalkFamily, absorption_probability, absorption_probability_float
-from .coefficients import b_prefix, b_row, d_prefix, d_row, stirling_prefix, stirling_row
+from .coefficients import TYPES
 
 
 def _seed_value(raw: str) -> int:
     if raw == "random":
         return secrets.randbits(63)
     try:
-        return int(raw)
+        return mc.check_seed(int(raw))
     except ValueError:
-        raise argparse.ArgumentTypeError("seed must be an integer or 'random'")
+        raise argparse.ArgumentTypeError("seed must be an integer in [0, 2**64) or 'random'")
 
 
 def _steps_value(raw: str):
@@ -65,21 +65,28 @@ def _json_safe(value):
 
 
 def _emit(config: dict, result: dict, fmt: str, csv_rows=None) -> None:
-    if fmt == "json":
-        print(json.dumps({"config": _json_safe(config), "result": _json_safe(result)}, indent=2))
-        return
-    if fmt == "csv":
+    # exact values up to EXACT_N_CAP run past Python's default limit on
+    # int -> str digits (absent before 3.10.7); lift it only while printing
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(json.dumps({"config": _json_safe(config), "result": _json_safe(result)}, indent=2))
+            return
         for key, val in config.items():
             print(f"# {key}={val}")
-        if csv_rows is None:
-            csv_rows = [list(result.keys()), [result[k] for k in result]]
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
-        return
-    for key, val in config.items():
-        print(f"# {key}={val}")
-    for key, val in result.items():
-        print(f"{key}: {_plain(val)}")
+        if fmt == "csv":
+            if csv_rows is None:
+                csv_rows = [list(result.keys()), [result[k] for k in result]]
+            for row in csv_rows:
+                print(",".join(str(x) for x in row))
+        else:
+            for key, val in result.items():
+                print(f"{key}: {_plain(val)}")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _plain(value):
@@ -123,11 +130,8 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-_ROWS = {"A": (stirling_row, stirling_prefix), "B": (b_row, b_prefix), "D": (d_row, d_prefix)}
-
-
 def _cmd_coeffs(args) -> int:
-    row_fn, prefix_fn = _ROWS[args.type]
+    t = TYPES[args.type]
     config = {
         "subcommand": "coeffs",
         "type": args.type,
@@ -136,11 +140,11 @@ def _cmd_coeffs(args) -> int:
         "format": args.format,
     }
     if args.kmax is not None:
-        coeffs = list(prefix_fn(args.n, args.kmax))
+        coeffs = list(t.prefix(args.n, args.kmax))
     else:
-        coeffs = list(row_fn(args.n).coeffs)
+        coeffs = list(t.row(args.n).coeffs)
     result = {"coefficients": coeffs}
-    rows = [["k", "coefficient"]] + [[k, str(c)] for k, c in enumerate(coeffs)]
+    rows = [["k", "coefficient"]] + list(enumerate(coeffs))
     _emit(config, result, args.format, csv_rows=rows)
     return 0
 
@@ -273,7 +277,7 @@ def _cmd_cone(args) -> int:
 def _cmd_asympt(args) -> int:
     ns = [int(float(tok)) for tok in args.n_grid.split(",") if tok]
     case = args.case
-    kind = "bridge-A" if case == "A" else f"walk-{case}"
+    kind = TYPES[case].walk
     u = asy.scale_parameter(case)
     config = {
         "subcommand": "asympt",
@@ -315,7 +319,7 @@ def _cmd_verify(args) -> int:
         "format": args.format,
     }
     report = verify.run_suite(args.suite, samples=args.samples, seed=args.seed, threads=args.threads)
-    failures = 0
+    failures = sum(not r.passed for results in report.values() for r in results)
     if args.format == "json":
         payload = {}
         for number, results in report.items():
@@ -329,7 +333,6 @@ def _cmd_verify(args) -> int:
                 }
                 for r in results
             ]
-            failures += sum(not r.passed for r in results)
         print(json.dumps({"config": _json_safe(config), "result": payload}, indent=2))
     else:
         for key, val in config.items():
@@ -337,7 +340,6 @@ def _cmd_verify(args) -> int:
         for number, results in report.items():
             name = verify.CRITERIA[number][0]
             bad = [r for r in results if not r.passed]
-            failures += len(bad)
             verdict = "pass" if not bad else "FAIL"
             print(f"[{verdict}] criterion {number} ({name}): {len(results) - len(bad)}/{len(results)}")
             for r in bad:
@@ -355,6 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, formats=("json", "csv", "plain")):
         p.add_argument("--format", choices=formats, default="plain")
 
+    def add_sampling(p):
+        p.add_argument("--samples", type=int, default=100000)
+        p.add_argument("--seed", type=_seed_value, default=mc.DEFAULT_SEED)
+        p.add_argument("--threads", type=int, default=None)
+
     p = sub.add_parser("exact", help="exact absorption probabilities")
     p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--steps", type=_steps_value, required=True)
@@ -365,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("coeffs", help="coefficient rows of the three families")
-    p.add_argument("--type", choices=("A", "B", "D"), required=True)
+    p.add_argument("--type", choices=tuple(TYPES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kmax", type=int, default=None, help="emit only indices 0..kmax")
     add_common(p)
@@ -376,17 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--steps", type=_steps_value, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=_seed_value, default=mc.DEFAULT_SEED)
+    add_sampling(p)
     p.add_argument("--tol", type=float, default=walks.DEFAULT_TOL)
-    p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("arrangement", help="hyperplane arrangement queries")
     p.add_argument("action", choices=("charpoly", "regions", "intersect"))
     p.add_argument("--file", default=None, help="arrangement file ('dim n' + integer rows)")
-    p.add_argument("--type", choices=("A", "B", "D"), default=None)
+    p.add_argument("--type", choices=tuple(TYPES), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--codim", type=int, default=None)
     add_common(p)
@@ -394,18 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone", help="conic intrinsic volume queries")
     p.add_argument("action", choices=("volumes", "steiner", "crofton"))
-    p.add_argument("--type", choices=("A", "B", "D"), required=True)
+    p.add_argument("--type", choices=tuple(TYPES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--codim", type=int, default=None)
     p.add_argument("--grid", type=int, default=11, help="lambda grid size for steiner")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=_seed_value, default=mc.DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=None)
+    add_sampling(p)
     add_common(p)
     p.set_defaults(fn=_cmd_cone)
 
     p = sub.add_parser("asympt", help="asymptotic comparison tables")
-    p.add_argument("--case", choices=("A", "B", "D"), required=True)
+    p.add_argument("--case", choices=tuple(TYPES), required=True)
     p.add_argument("--regime", choices=("fixed", "clt", "ld"), required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--x", type=float, default=0.5, help="tail parameter for the ld regime")
@@ -415,9 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="self-verification suites")
     p.add_argument("--suite", choices=tuple(verify.SUITES), default="all")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=_seed_value, default=mc.DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=None)
+    add_sampling(p)
     add_common(p, formats=("json", "plain"))
     p.set_defaults(fn=_cmd_verify)
 
@@ -429,10 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SystemExit2, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

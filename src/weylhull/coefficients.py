@@ -1,33 +1,39 @@
-"""Integer coefficient families behind the exact absorption formulas.
+"""Reflection types and the integer coefficient rows behind the exact formulas.
 
-Every family here is the ascending-power coefficient row of a product of
-linear factors prod_i (t + r_i) with nonnegative integer roots:
+Each reflection type -- A_{n-1}, B_n and D_n acting on R^n -- is one
+``ReflectionType`` record in ``TYPES``.  Its characteristic roots r_1..r_n
+give the ascending-power coefficient row of prod_i (t + r_i):
 
-* ``stirling_row(n)``  -- roots 0, 1, ..., n-1 (unsigned Stirling, first kind)
-* ``b_row(n)``         -- roots 1, 3, ..., 2n-1
-* ``d_row(n)``         -- roots 1, 3, ..., 2n-3 and n-1
-* ``product_row(ns)``  -- product of the b-type polynomials for each n_i
+* type A -- roots 0, 1, ..., n-1 (unsigned Stirling numbers, first kind)
+* type B -- roots 1, 3, ..., 2n-1
+* type D -- roots 1, 3, ..., 2n-3 and n-1
+
+The row divided by the group order is the chamber's conic intrinsic volume
+vector, and the rest of the package reads group orders, mirrors, lineality,
+asymptotic scale and walk family from the same record.  ``product_row(ns)``
+multiplies the type-B rows of several walks.
 
 Exact rows are arbitrary-precision integers.  For step counts far beyond the
 exact cap there is a floating-point route through the equivalent
-Poisson-binomial distributions (success probabilities 1/i or 1/(2i)).
+Poisson-binomial distributions, with success probabilities p_i = 1/(1 + r_i).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import special as sp
 
-#: largest n for which full exact rows are computed by default
+#: largest n for which full exact rows are computed
 EXACT_N_CAP = 5000
 
 
 class ExactModeCapError(ValueError):
-    """Raised when an exact full-row computation exceeds the configured cap."""
+    """Raised when an exact full-row computation exceeds EXACT_N_CAP."""
 
 
 @dataclass(frozen=True)
@@ -76,141 +82,81 @@ class PoissonBinomialPMF:
             raise ValueError("pmf has negative entries")
 
 
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = EXACT_N_CAP if cap is None else cap
-    if n > limit:
+@dataclass(frozen=True)
+class ReflectionType:
+    """One reflection type: everything else about it is derived from here.
+
+    The mirror arrangement has characteristic polynomial prod_i (t - r_i), so
+    the same roots give the Whitney numbers, the region counts, the chamber's
+    intrinsic volumes and the absorption tails.
+    """
+
+    name: str
+    #: characteristic roots r_1..r_n
+    roots: Callable[[int], list[int]]
+    #: group order, in closed form
+    order: Callable[[int], int]
+    #: smallest n whose roots define a row
+    min_n: int
+    #: dimension of the chamber's lineality space (the line R(1, ..., 1) for A)
+    lineality: int
+    #: asymptotic scale: the absorption transition sits at d = u log n
+    u: float
+    #: mirror normals in R^n, in the order the arrangement lists them
+    mirrors: Callable[[int], list[tuple[int, ...]]]
+    #: the walk family whose absorption probability the row gives
+    walk: str
+    #: (n, kmax) -> pmf[0..kmax] of the Bernoulli sum, in floating point
+    lower_pmf: Callable[[int, int], np.ndarray]
+
+    def check(self, n: int) -> None:
+        if n < self.min_n:
+            raise ValueError(f"type {self.name} needs n >= {self.min_n}")
+
+    @property
+    def chamber_min_n(self) -> int:
+        """Smallest n with a chamber that is not a linear subspace, i.e. not
+        all lineality."""
+        return max(self.min_n, self.lineality + 1)
+
+    def check_chamber(self, n: int) -> None:
+        if n < self.chamber_min_n:
+            raise ValueError(f"type {self.name} chamber needs n >= {self.chamber_min_n}")
+
+    def row(self, n: int) -> CoefficientVector:
+        """Coefficients of prod_i (t + r_i)."""
+        _check_cap(n)
+        return CoefficientVector(_coefficients(self.name, n, n))
+
+    def prefix(self, n: int, kmax: int) -> tuple[int, ...]:
+        """The row's coefficients 0..kmax in O(n * kmax) big-int operations:
+        what makes exact low-index tail sums cheap at n in the thousands."""
+        if kmax < 0:
+            raise ValueError("need kmax >= 0")
+        return _coefficients(self.name, n, kmax)
+
+
+def _check_cap(n: int) -> None:
+    if n > EXACT_N_CAP:
         raise ExactModeCapError(
-            f"exact full-row computation capped at n={limit}; "
+            f"exact full-row computation capped at n={EXACT_N_CAP}; "
             f"got n={n} (use the float route for large n)"
         )
 
 
-def expand_linear_factors(roots: Sequence[int]) -> CoefficientVector:
-    """Expand prod_i (t + r_i) exactly; the empty product is [1]."""
-    coeffs = [1]
-    for r in roots:
-        r = int(r)
-        if r < 0:
-            raise ValueError(f"roots must be nonnegative, got {r}")
-        nxt = [0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += r * c
-            nxt[k + 1] += c
-        coeffs = nxt
-    return CoefficientVector(tuple(coeffs))
+def _expand(roots: Iterable[int], kmax: int) -> list[int]:
+    """Coefficients 0..kmax of prod_i (t + r_i).
 
-
-@lru_cache(maxsize=64)
-def stirling_row(n: int, cap: int | None = None) -> CoefficientVector:
-    """Coefficients of t(t+1)...(t+n-1), i.e. unsigned Stirling numbers."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_cap(n, cap)
-    return expand_linear_factors(range(n))
-
-
-@lru_cache(maxsize=64)
-def b_row(n: int, cap: int | None = None) -> CoefficientVector:
-    """Coefficients of (t+1)(t+3)...(t+2n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_cap(n, cap)
-    return expand_linear_factors(range(1, 2 * n, 2))
-
-
-@lru_cache(maxsize=64)
-def d_row(n: int, cap: int | None = None) -> CoefficientVector:
-    """Coefficients of (t+1)(t+3)...(t+2n-3)(t+n-1)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    _check_cap(n, cap)
-    return expand_linear_factors(list(range(1, 2 * n - 2, 2)) + [n - 1])
-
-
-@lru_cache(maxsize=64)
-def product_row(ns: tuple[int, ...], cap: int | None = None) -> CoefficientVector:
-    """Coefficients of prod_i (t+1)(t+3)...(t+2 n_i - 1)."""
-    ns = tuple(int(n) for n in ns)
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError("each n_i must be >= 1")
-    _check_cap(sum(ns), cap)
-    coeffs = [1]
-    for n in ns:
-        other = b_row(n).coeffs
-        out = [0] * (len(coeffs) + len(other) - 1)
-        for i, a in enumerate(coeffs):
-            for j, b in enumerate(other):
-                out[i + j] += a * b
-        coeffs = out
-    return CoefficientVector(tuple(coeffs))
-
-
-def product_coefficients(ns: Sequence[int]) -> CoefficientVector:
-    return product_row(tuple(ns))
-
-
-def stirling_unsigned(n: int, k: int) -> int:
-    """Coefficient of t^k in t(t+1)...(t+n-1); 0 outside 1..n."""
-    return stirling_row(n)[k]
-
-
-def b_coefficient(n: int, k: int) -> int:
-    """Coefficient of t^k in (t+1)(t+3)...(t+2n-1); 0 outside 0..n."""
-    return b_row(n)[k]
-
-
-def d_coefficient(n: int, k: int) -> int:
-    """Coefficient of t^k in (t+1)(t+3)...(t+2n-3)(t+n-1); 0 outside 0..n."""
-    return d_row(n)[k]
-
-
-# ---------------------------------------------------------------------------
-# Truncated columns: the first kmax+1 coefficients of a row, in O(n * kmax)
-# big-int operations.  This is what makes exact low-index tail sums cheap at
-# n in the thousands, where expanding the full row would be wasteful.
-
-@lru_cache(maxsize=128)
-def b_prefix(n: int, kmax: int) -> tuple[int, ...]:
-    """B(n, 0..kmax) via B(i,k) = (2i-1) B(i-1,k) + B(i-1,k-1)."""
-    if n < 1 or kmax < 0:
-        raise ValueError("need n >= 1 and kmax >= 0")
+    One recurrence serves full rows (kmax = number of roots) and truncated
+    prefixes: each factor updates c_k <- r c_k + c_{k-1} in place, top index
+    first, so a prefix costs O(n * kmax) big-int operations.
+    """
     row = [1] + [0] * kmax
-    for i in range(1, n + 1):
-        m = 2 * i - 1
+    for i, r in enumerate(roots, 1):
         for k in range(min(i, kmax), 0, -1):
-            row[k] = m * row[k] + row[k - 1]
-        row[0] *= m
-    return tuple(row)
-
-
-@lru_cache(maxsize=128)
-def stirling_prefix(n: int, kmax: int) -> tuple[int, ...]:
-    """Unsigned Stirling s(n, 0..kmax) via s(i,k) = (i-1) s(i-1,k) + s(i-1,k-1)."""
-    if n < 1 or kmax < 0:
-        raise ValueError("need n >= 1 and kmax >= 0")
-    row = [0] * (kmax + 1)
-    if kmax >= 1:
-        row[1] = 1
-    else:
-        # kmax == 0: s(n, 0) = 0 for all n >= 1
-        return (0,)
-    for i in range(2, n + 1):
-        m = i - 1
-        for k in range(min(i, kmax), 0, -1):
-            row[k] = m * row[k] + row[k - 1]
-        row[0] *= m
-    return tuple(row)
-
-
-def d_prefix(n: int, kmax: int) -> tuple[int, ...]:
-    """D(n, 0..kmax) from the identity D(n,k) = (n-1) B(n-1,k) + B(n-1,k-1)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    b = b_prefix(n - 1, kmax)
-    out = [(n - 1) * b[0]]
-    for k in range(1, kmax + 1):
-        out.append((n - 1) * b[k] + b[k - 1])
-    return tuple(out)
+            row[k] = r * row[k] + row[k - 1]
+        row[0] *= r
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -269,50 +215,125 @@ def _unit_reciprocal_power_sums(n: int, jmax: int) -> np.ndarray:
     return s
 
 
-def bernoulli_family_lower_pmf(family: str, n: int, kmax: int) -> np.ndarray:
-    """pmf[0..kmax] of the Bernoulli-sum representation of a coefficient row.
+def _a_lower_pmf(n: int, kmax: int) -> np.ndarray:
+    """p_i = 1/i: row s(n,k) / n!."""
+    # p_1 = 1 shifts the count by one; the remaining odds are 1/j, j < n
+    inner = _newton_pmf(_unit_reciprocal_power_sums(n - 1, max(kmax - 1, 0)),
+                        -math.log(n), max(kmax - 1, 0)) if n > 1 else np.array([1.0])
+    pmf = np.zeros(kmax + 1)
+    pmf[1:1 + inner.size] = inner[:kmax]
+    return pmf
 
-    family 'A': p_i = 1/i            (row s(n,k) / n!)
-    family 'B': p_i = 1/(2i)         (row B(n,k) / (2^n n!))
-    family 'D': p_i = 1/(2i), i < n, and p_n = 1/n  (row D(n,k) / (2^{n-1} n!))
+
+def _b_lower_pmf(n: int, kmax: int) -> np.ndarray:
+    """p_i = 1/(2i): row B(n,k) / (2^n n!)."""
+    s = _odd_reciprocal_power_sums(n, kmax)
+    log_q = sp.gammaln(2 * n + 1) - 2 * sp.gammaln(n + 1) - 2 * n * math.log(2.0)
+    return _newton_pmf(s, log_q, kmax)
+
+
+def _d_lower_pmf(n: int, kmax: int) -> np.ndarray:
+    """p_i = 1/(2i) for i < n and p_n = 1/n: row D(n,k) / (2^{n-1} n!)."""
+    s = _odd_reciprocal_power_sums(n - 1, kmax)
+    s[1:] += np.array([(n - 1.0) ** (-j) for j in range(1, kmax + 1)])
+    log_q = (sp.gammaln(2 * n - 1) - 2 * sp.gammaln(n) - (2 * n - 2) * math.log(2.0)
+             + math.log1p(-1.0 / n))
+    return _newton_pmf(s, log_q, kmax)
+
+
+# ---------------------------------------------------------------------------
+# The three reflection types
+
+def _pairs(n: int, sign: int) -> list[tuple[int, ...]]:
+    """e_i + sign * e_j for i < j, in lexicographic order of (i, j)."""
+    out = []
+    for i, j in itertools.combinations(range(n), 2):
+        v = [0] * n
+        v[i], v[j] = 1, sign
+        out.append(tuple(v))
+    return out
+
+
+def _units(n: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+TYPES = {
+    t.name: t
+    for t in (
+        ReflectionType(
+            "A", roots=lambda n: list(range(n)), order=math.factorial, min_n=1,
+            lineality=1, u=1.0, mirrors=lambda n: _pairs(n, -1), walk="bridge-A",
+            lower_pmf=_a_lower_pmf,
+        ),
+        ReflectionType(
+            "B", roots=lambda n: list(range(1, 2 * n, 2)),
+            order=lambda n: 2**n * math.factorial(n), min_n=1, lineality=0, u=0.5,
+            mirrors=lambda n: _units(n) + _pairs(n, -1) + _pairs(n, 1), walk="walk-B",
+            lower_pmf=_b_lower_pmf,
+        ),
+        ReflectionType(
+            "D", roots=lambda n: list(range(1, 2 * n - 2, 2)) + [n - 1],
+            order=lambda n: 2 ** (n - 1) * math.factorial(n), min_n=2, lineality=0, u=0.5,
+            mirrors=lambda n: _pairs(n, -1) + _pairs(n, 1), walk="walk-D",
+            lower_pmf=_d_lower_pmf,
+        ),
+    )
+}
+
+#: the record behind each single-type walk family, keyed by family name
+WALK_TYPES = {t.walk: t for t in TYPES.values()}
+
+
+def reflection_type(name: str) -> ReflectionType:
+    """The record of type 'A', 'B' or 'D'."""
+    if name not in TYPES:
+        raise ValueError(f"unknown reflection type {name!r}")
+    return TYPES[name]
+
+
+@lru_cache(maxsize=128)
+def _coefficients(kind: str, n: int, kmax: int) -> tuple[int, ...]:
+    t = TYPES[kind]
+    t.check(n)
+    return tuple(_expand(t.roots(n), kmax))
+
+
+#: the rows and prefixes under their classical names
+stirling_row, stirling_prefix = TYPES["A"].row, TYPES["A"].prefix
+b_row, b_prefix = TYPES["B"].row, TYPES["B"].prefix
+d_row, d_prefix = TYPES["D"].row, TYPES["D"].prefix
+
+
+@lru_cache(maxsize=64)
+def product_row(ns: tuple[int, ...]) -> CoefficientVector:
+    """Coefficients of prod_i (t+1)(t+3)...(t+2 n_i - 1): the product of the
+    type-B rows, expanded over all their roots at once."""
+    ns = tuple(int(n) for n in ns)
+    if not ns or any(n < 1 for n in ns):
+        raise ValueError("each n_i must be >= 1")
+    _check_cap(sum(ns))
+    roots = [r for n in ns for r in TYPES["B"].roots(n)]
+    return CoefficientVector(tuple(_expand(roots, len(roots))))
+
+
+def stirling_unsigned(n: int, k: int) -> int:
+    """Coefficient of t^k in t(t+1)...(t+n-1); 0 outside 1..n."""
+    return stirling_row(n)[k]
+
+
+def bernoulli_family_lower_pmf(family: str, n: int, kmax: int) -> np.ndarray:
+    """pmf[0..kmax] of the Bernoulli-sum representation of a coefficient row,
+    with p_i = 1/(1 + r_i) over the roots of type ``family``.
 
     Exact for every k <= kmax regardless of how much mass sits above kmax.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    kmax = min(kmax, n)
-    if family == "B":
-        s = _odd_reciprocal_power_sums(n, kmax)
-        log_q = sp.gammaln(2 * n + 1) - 2 * sp.gammaln(n + 1) - 2 * n * math.log(2.0)
-        return _newton_pmf(s, log_q, kmax)
-    if family == "A":
-        # p_1 = 1 shifts the count by one; the remaining odds are 1/j, j < n
-        inner = _newton_pmf(_unit_reciprocal_power_sums(n - 1, max(kmax - 1, 0)),
-                            -math.log(n), max(kmax - 1, 0)) if n > 1 else np.array([1.0])
-        pmf = np.zeros(kmax + 1)
-        pmf[1:1 + inner.size] = inner[:kmax]
-        return pmf
-    if family == "D":
-        if n < 2:
-            raise ValueError("family D needs n >= 2")
-        s = _odd_reciprocal_power_sums(n - 1, kmax)
-        s[1:] += np.array([(n - 1.0) ** (-j) for j in range(1, kmax + 1)])
-        log_q = (sp.gammaln(2 * n - 1) - 2 * sp.gammaln(n) - (2 * n - 2) * math.log(2.0)
-                 + math.log1p(-1.0 / n))
-        return _newton_pmf(s, log_q, kmax)
-    raise ValueError(f"unknown family {family!r}")
+    t = reflection_type(family)
+    t.check(n)
+    return t.lower_pmf(n, min(kmax, n))
 
 
 def bernoulli_family_mgf(family: str, n: int, z: float) -> float:
     """E[exp(z X_n)] for the Bernoulli-sum representation, computed directly."""
-    i = np.arange(1, n + 1, dtype=float)
-    if family == "B":
-        p = 1.0 / (2.0 * i)
-    elif family == "A":
-        p = 1.0 / i
-    elif family == "D":
-        p = 1.0 / (2.0 * i)
-        p[-1] = 1.0 / n
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    p = 1.0 / (1.0 + np.asarray(reflection_type(family).roots(n), dtype=float))
     return float(np.exp(np.sum(np.log1p(p * (math.exp(z) - 1.0)))))

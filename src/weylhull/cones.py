@@ -24,14 +24,8 @@ from .arrangements import (
     whitney_characteristic_polynomial,
 )
 
-CHAMBER_TYPES = ("A", "B", "D")
-
 #: relative decision band for the Crofton subspace-hit test
 _CROFTON_BAND = 1e-9
-
-#: Dykstra stopping tolerance and iteration cap for the D-chamber projection
-_DYKSTRA_TOL = 1e-10
-_DYKSTRA_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -81,69 +75,44 @@ class WeylChamber:
     n: int
 
     def __post_init__(self):
-        if self.kind not in CHAMBER_TYPES:
-            raise ValueError(f"unknown chamber type {self.kind!r}")
-        if self.kind == "B":
-            if self.n < 1:
-                raise ValueError("type B needs n >= 1")
-        elif self.n < 2:
-            raise ValueError(f"type {self.kind} needs n >= 2")
+        coef.reflection_type(self.kind).check_chamber(self.n)
 
     @property
     def group_order(self) -> int:
-        if self.kind == "A":
-            return math.factorial(self.n)
-        if self.kind == "B":
-            return 2**self.n * math.factorial(self.n)
-        return 2 ** (self.n - 1) * math.factorial(self.n)
+        return coef.TYPES[self.kind].order(self.n)
 
     def inequality_normals(self) -> np.ndarray:
-        """Rows g with the chamber equal to {x : g @ x >= 0 for all g}."""
-        n = self.n
-        rows = []
+        """Rows g with the chamber equal to {x : g @ x >= 0 for all g}: the
+        differences e_i - e_{i-1}, after e_1 for B and after e_1 + e_2 for D."""
+        eye = np.eye(self.n)
+        rows = [eye[i] - eye[i - 1] for i in range(1, self.n)]
         if self.kind == "B":
-            e = np.zeros(n)
-            e[0] = 1.0
-            rows.append(e)
-        if self.kind == "D":
-            r = np.zeros(n)
-            r[0], r[1] = 1.0, 1.0
-            rows.append(r)
-            r = np.zeros(n)
-            r[0], r[1] = -1.0, 1.0
-            rows.append(r)
-        start = 2 if self.kind == "D" else 1
-        for i in range(start, n):
-            r = np.zeros(n)
-            r[i - 1], r[i] = -1.0, 1.0
-            rows.append(r)
+            rows.insert(0, eye[0])
+        elif self.kind == "D":
+            rows.insert(0, eye[0] + eye[1])
         return np.array(rows)
 
     def generators(self) -> np.ndarray:
         """Columns spanning the chamber: conic hull of these equals the
-        chamber (for type A together with the lineality line)."""
+        chamber (for type A together with the lineality line).
+
+        They are the tails e_{n-j+1} + ... + e_n, j = 1..n; type A drops the
+        last one, which spans the lineality line, and type D replaces the
+        last two by (1, 1, ..., 1) and (-1, 1, ..., 1).
+        """
         n = self.n
-        cols = []
-
-        def tail(j):
-            v = np.zeros(n)
-            v[n - j :] = 1.0
-            return v
-
-        if self.kind == "B":
-            cols = [tail(j) for j in range(1, n + 1)]
-        elif self.kind == "A":
-            cols = [tail(j) for j in range(1, n)]
-        else:
-            cols = [tail(j) for j in range(1, n - 1)]
-            plus = np.ones(n)
+        tails = [np.concatenate([np.zeros(n - j), np.ones(j)]) for j in range(1, n + 1)]
+        if self.kind == "A":
+            return np.column_stack(tails[:-1])
+        if self.kind == "D":
             minus = np.ones(n)
             minus[0] = -1.0
-            cols += [plus, minus]
-        return np.column_stack(cols)
+            tails = tails[:-2] + [np.ones(n), minus]
+        return np.column_stack(tails)
 
     def lineality(self) -> np.ndarray | None:
-        if self.kind == "A":
+        """The direction spanning the lineality line, if there is one."""
+        if coef.TYPES[self.kind].lineality:
             return np.ones(self.n)
         return None
 
@@ -151,14 +120,8 @@ class WeylChamber:
 def weyl_intrinsic_volumes(kind: str, n: int) -> IntrinsicVolumeVector:
     """Exact conic intrinsic volumes of the Weyl chamber: the coefficient
     row of the matching reflection group divided by the group order."""
-    chamber = WeylChamber(kind, n)
-    if kind == "A":
-        row = coef.stirling_row(n).coeffs
-    elif kind == "B":
-        row = coef.b_row(n).coeffs
-    else:
-        row = coef.d_row(n).coeffs
-    order = chamber.group_order
+    order = WeylChamber(kind, n).group_order
+    row = coef.TYPES[kind].row(n).coeffs
     return IntrinsicVolumeVector(n, tuple(Fraction(c, order) for c in row), exact=True)
 
 
@@ -204,8 +167,9 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(np.abs(th - hi).max(), np.abs(th_left - lo).max()))
 
 
-def _project_monotone(x: np.ndarray) -> np.ndarray:
-    return isotonic_regression(x).x
+def _project_nonnegative_monotone(y: np.ndarray) -> np.ndarray:
+    # the B chamber: nonnegative isotonic regression, pool first, clamp after
+    return np.maximum(isotonic_regression(y).x, 0.0)
 
 
 def project_onto_weyl_chamber(chamber: WeylChamber, x: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -214,31 +178,21 @@ def project_onto_weyl_chamber(chamber: WeylChamber, x: Sequence[float]) -> tuple
     if y.shape != (chamber.n,):
         raise ValueError("dimension mismatch")
     if chamber.kind == "A":
-        p = _project_monotone(y)
+        p = isotonic_regression(y).x
     elif chamber.kind == "B":
-        # nonnegative isotonic regression: pool first, clamp after
-        p = np.maximum(_project_monotone(y), 0.0)
+        p = _project_nonnegative_monotone(y)
     else:
-        p = _dykstra(chamber.inequality_normals(), y)
+        # the D chamber |x_1| <= x_2 <= ... <= x_n is the B chamber together
+        # with its mirror image under x_1 -> -x_1, so the projection is the
+        # nearer of the two clamped isotonic projections.  That is the one on
+        # y_1's side: the flip maps D onto itself, and a point of D across
+        # from y_1 is farther from y than its own mirror image.  Choosing by
+        # sign avoids comparing two nearly equal distances in floating point
+        flip = np.ones(chamber.n)
+        if y[0] < 0.0:
+            flip[0] = -1.0
+        p = flip * _project_nonnegative_monotone(flip * y)
     return p, float(np.sum((y - p) ** 2))
-
-
-def _dykstra(normals: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dykstra's alternating projections onto the chamber half-spaces."""
-    rows = [g / np.linalg.norm(g) for g in normals]
-    x = y.copy()
-    corrections = [np.zeros_like(y) for _ in rows]
-    for _ in range(_DYKSTRA_MAX_ITER):
-        prev = x.copy()
-        for i, g in enumerate(rows):
-            z = x + corrections[i]
-            viol = float(g @ z)
-            proj = z if viol >= 0.0 else z - viol * g
-            corrections[i] = z - proj
-            x = proj
-        if np.max(np.abs(x - prev)) < _DYKSTRA_TOL:
-            return x
-    raise RuntimeError("Dykstra projection failed to converge")
 
 
 def crofton_mc_estimate(
@@ -254,24 +208,31 @@ def crofton_mc_estimate(
     the origin].  The hit test projects the chamber generators onto a
     uniform d-dimensional orthonormal frame (the orthogonal complement of
     the sampled subspace) and asks whether the origin lies in their convex
-    hull.
+    hull.  A chamber with a lineality line L is C' + L for the cone C'
+    spanned by the generators, so the hit test runs modulo the projection
+    of L: on the complement of that direction inside the frame.
     """
     n = chamber.n
     if not 0 <= d <= n - 1:
         raise ValueError("codimension out of range")
-    if d == 0:
-        # W = R^n always meets the cone: h_1 = 1/2 exactly
+    if d <= coef.TYPES[chamber.kind].lineality:
+        # W = R^n at d = 0; for d <= dim L, W meets span(L, g) for a generator
+        # g in a line with one ray in C.  Either way h_{d+1} = 1/2 exactly
         return mc.MCEstimate(0.5, 0.0, samples, seed, 0.0)
     gens = chamber.generators()
     line = chamber.lineality()
-    if line is not None:
-        gens = np.column_stack([gens, line, -line])
     band = _CROFTON_BAND * max(1.0, float(np.linalg.norm(gens, axis=0).max()))
 
     def chunk(rng: np.random.Generator, size: int) -> tuple[int, int]:
         g = rng.standard_normal((size, n, d))
         q, _ = np.linalg.qr(g)
         pts = np.einsum("snd,nm->smd", q, gens)
+        if line is not None:
+            # the QR factorisation of [q^T line | I] puts the line's image
+            # first, so Q's other columns are orthonormal on its complement
+            w = np.einsum("snd,n->sd", q, line)[:, :, None]
+            basis, _ = np.linalg.qr(np.concatenate([w, np.broadcast_to(np.eye(d), (size, d, d))], axis=2))
+            pts = pts @ basis[:, :, 1:]
         inside, amb = hull.batch_origin_in_hull(pts, band)
         return int(inside.sum()), int(amb.sum())
 
@@ -324,11 +285,10 @@ def klivans_swartz_check(kind: str, n: int) -> bool:
     """
     if n > 6:
         raise ValueError("check supported for n <= 6")
-    chamber = WeylChamber(kind, n)
     vols = weyl_intrinsic_volumes(kind, n)
     if n <= 4:
         chi = whitney_characteristic_polynomial(build_reflection_arrangement(kind, n))
     else:
         chi = reflection_characteristic_polynomial(kind, n)
-    order = chamber.group_order
+    order = coef.TYPES[kind].order(n)
     return all(chi.a[k] == order * vols.v[k] for k in range(n + 1))

@@ -7,6 +7,7 @@ an open region either admits margin 1 or margin 0, never 10^-9.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,51 +18,79 @@ class UnboundedError(Exception):
     """The LP objective is unbounded above (a formulation bug here)."""
 
 
+def reduce_row(echelon: list, v: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
+    """The row that the integer vector v adds to an echelon, or None when v
+    lies in the echelon's span.
+
+    The echelon is a list of (pivot column, integer row) pairs, each row
+    zero before its pivot and at the pivots of the rows listed before it.
+    Fraction-free elimination clears v at every pivot; what is left, divided
+    by its gcd, pivots at its first nonzero column.  This is the package's
+    one exact elimination: ranks, kernels and the Whitney sum all use it.
+    """
+    v = list(v)
+    for col, row in echelon:
+        b = v[col]
+        if b:
+            a = row[col]
+            v = [a * x - b * y for x, y in zip(v, row)]
+    g = math.gcd(*v)
+    if g == 0:
+        return None
+    v = [x // g for x in v]
+    return next(c for c, x in enumerate(v) if x), tuple(v)
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> list:
+    echelon = []
+    for r in rows:
+        step = reduce_row(echelon, r)
+        if step is not None:
+            echelon.append(step)
+    return echelon
+
+
+def primitive_row(row: Sequence) -> list[int]:
+    """The rational row scaled to coprime integers; a zero row stays zero."""
+    fr = [Fraction(x) for x in row]
+    lcm = math.lcm(*(x.denominator for x in fr))
+    ints = [x.numerator * (lcm // x.denominator) for x in fr]
+    g = math.gcd(*ints) or 1
+    return [v // g for v in ints]
+
+
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(rank + 1, len(m)):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[rank][col] * m[i][j] - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of an integer matrix."""
+    return len(_echelon(rows))
 
 
 def fraction_rank(rows: Matrix) -> int:
-    """Rank of a rational matrix (clears denominators, then Bareiss)."""
-    scaled = []
-    for r in rows:
-        fr = [Fraction(x) for x in r]
-        lcm = 1
-        for x in fr:
-            d = x.denominator
-            lcm = lcm * d // _gcd(lcm, d)
-        scaled.append([int(x * lcm) for x in fr])
-    return integer_rank(scaled)
+    """Rank of a rational matrix (clears denominators row by row)."""
+    return integer_rank([primitive_row(r) for r in rows])
 
 
 def fraction_nullity(rows: Matrix, ncols: int) -> int:
     return ncols - fraction_rank(rows)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
+    """Kernel basis of an integer matrix, one vector per non-pivot column:
+    1 there and 0 at the other non-pivot columns, as read off the reduced
+    row echelon form."""
+    echelon = _echelon(rows)
+    pivots = {col for col, _ in echelon}
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        # each row is zero at the pivots of the rows before it, so solving
+        # from the last row back fixes one pivot coordinate per row
+        for col, row in reversed(echelon):
+            x[col] = -sum(a * b for a, b in zip(row, x)) / row[col]
+        basis.append(x)
+    return basis
 
 
 def simplex_max(c: Sequence[Fraction], a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, list[Fraction]]:
@@ -106,22 +135,24 @@ def simplex_max(c: Sequence[Fraction], a: Matrix, b: Sequence[Fraction]) -> tupl
     return -cost[-1], x
 
 
+def _max_margin(rows: Matrix, margins: Sequence[int], dim: int) -> tuple[Fraction, list[Fraction]]:
+    """Maximize t subject to row.x >= margin * t for each row and t <= 1,
+    over free x written as x+ - x-; returns (optimum, [x+, x-, t])."""
+    a = [[-Fraction(x) for x in r] + [Fraction(x) for x in r] + [Fraction(m)]
+         for r, m in zip(rows, margins)]
+    a.append([Fraction(0)] * (2 * dim) + [Fraction(1)])
+    b = [Fraction(0)] * len(rows) + [Fraction(1)]
+    c = [Fraction(0)] * (2 * dim) + [Fraction(1)]
+    return simplex_max(c, a, b)
+
+
 def open_cone_point(rows: Matrix, dim: int) -> list[Fraction] | None:
     """A point x with row.x > 0 for every row, or None if none exists.
 
     Decided by maximizing t subject to row.x >= t, t <= 1: the optimum is 1
     exactly when the open cone is nonempty (scale any strict point), else 0.
     """
-    # variables: x+ (dim), x- (dim), t
-    a = []
-    b = []
-    for r in rows:
-        a.append([-Fraction(x) for x in r] + [Fraction(x) for x in r] + [Fraction(1)])
-        b.append(Fraction(0))
-    a.append([Fraction(0)] * (2 * dim) + [Fraction(1)])
-    b.append(Fraction(1))
-    c = [Fraction(0)] * (2 * dim) + [Fraction(1)]
-    opt, x = simplex_max(c, a, b)
+    opt, x = _max_margin(rows, [1] * len(rows), dim)
     if opt <= 0:
         return None
     return [x[i] - x[dim + i] for i in range(dim)]
@@ -132,18 +163,8 @@ def cone_is_nontrivial(rows: Matrix, dim: int) -> bool:
     if fraction_nullity(rows, dim) > 0:
         return True
     # kernel trivial: ask for a point with row sums bounded away from zero
-    a = []
-    b = []
-    for r in rows:
-        a.append([-Fraction(x) for x in r] + [Fraction(x) for x in r] + [Fraction(0)])
-        b.append(Fraction(0))
     total = [sum(Fraction(r[j]) for r in rows) for j in range(dim)]
-    a.append([-x for x in total] + [x for x in total] + [Fraction(1)])
-    b.append(Fraction(0))
-    a.append([Fraction(0)] * (2 * dim) + [Fraction(1)])
-    b.append(Fraction(1))
-    c = [Fraction(0)] * (2 * dim) + [Fraction(1)]
-    opt, _ = simplex_max(c, a, b)
+    opt, _ = _max_margin(list(rows) + [total], [0] * len(rows) + [1], dim)
     return opt > 0
 
 

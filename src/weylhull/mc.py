@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -21,9 +21,17 @@ CHUNK = 1 << 14
 DEFAULT_SEED = 20200408
 
 
+def check_seed(seed: int) -> int:
+    """The seed itself; ValueError outside [0, 2**64), where two seeds would
+    share one Philox key and so one stream."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for one chunk of work."""
-    return np.random.Generator(np.random.Philox(key=(seed & (2**64 - 1)) * 2**64 + stream))
+    return np.random.Generator(np.random.Philox(key=check_seed(seed) * 2**64 + stream))
 
 
 def resolve_threads(threads: int | None) -> int:

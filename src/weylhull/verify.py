@@ -25,7 +25,7 @@ from .absorption import (
     one_dimensional_reference,
     wendel_probability,
 )
-from .coefficients import expand_linear_factors
+from .coefficients import TYPES
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def _result(name: str, passed: bool, expected, observed) -> CheckResult:
     return CheckResult(name, bool(passed), str(expected), str(observed))
 
 
-def check_one_dimensional_identities() -> list[CheckResult]:
+def check_one_dimensional_identities(**_) -> list[CheckResult]:
     """Walk non-absorption at d=1 is twice the stay-positive probability;
     bridge non-absorption is the constant-sign probability 2/n."""
     out = []
@@ -54,7 +54,7 @@ def check_one_dimensional_identities() -> list[CheckResult]:
     return out
 
 
-def check_wendel() -> list[CheckResult]:
+def check_wendel(**_) -> list[CheckResult]:
     """r one-step symmetric walks reduce to the classical r-point formula."""
     out = []
     for r in range(1, 13):
@@ -84,12 +84,15 @@ def _random_integer_arrangements(count: int, seed: int):
         yield arr_mod.Arrangement(n, tuple(sorted(normals, key=lambda h: h.normal)))
 
 
-def check_region_counts(seed: int = mc.DEFAULT_SEED) -> list[CheckResult]:
+def _chambers(nmax: int) -> list[tuple[str, int]]:
+    """Every (type, n) with n <= nmax that has a chamber."""
+    return [(k, n) for k, t in TYPES.items() for n in range(t.chamber_min_n, nmax + 1)]
+
+
+def check_region_counts(seed: int = mc.DEFAULT_SEED, **_) -> list[CheckResult]:
     """Alternating-coefficient region count vs brute-force enumeration."""
     out = []
-    cases = [("A", n) for n in (2, 3, 4)] + [("B", n) for n in (1, 2, 3, 4)]
-    cases += [("D", n) for n in (2, 3, 4)]
-    for kind, n in cases:
+    for kind, n in _chambers(4):
         arr = arr_mod.build_reflection_arrangement(kind, n)
         chi = arr_mod.whitney_characteristic_polynomial(arr)
         pred = arr_mod.zaslavsky_region_count(chi)
@@ -103,14 +106,12 @@ def check_region_counts(seed: int = mc.DEFAULT_SEED) -> list[CheckResult]:
     return out
 
 
-def check_subspace_counts(seed: int = mc.DEFAULT_SEED, draws: int = 10) -> list[CheckResult]:
+def check_subspace_counts(seed: int = mc.DEFAULT_SEED, draws: int = 10, **_) -> list[CheckResult]:
     """Closed-form intersected-region count vs per-region LP counting on
     random rational subspaces."""
     out = []
     rng = np.random.default_rng(seed)
-    cases = [("A", n) for n in (2, 3, 4)] + [("B", n) for n in (2, 3, 4)]
-    cases += [("D", n) for n in (2, 3, 4)]
-    for kind, n in cases:
+    for kind, n in _chambers(4):
         arr = arr_mod.build_reflection_arrangement(kind, n)
         chi = arr_mod.reflection_characteristic_polynomial(kind, n)
         for d in range(1, n):
@@ -129,29 +130,25 @@ def check_subspace_counts(seed: int = mc.DEFAULT_SEED, draws: int = 10) -> list[
     return out
 
 
-def check_klivans_swartz() -> list[CheckResult]:
+def check_klivans_swartz(**_) -> list[CheckResult]:
     """Group order times chamber intrinsic volumes equals the arrangement
     coefficient row."""
     out = []
-    cases = [("A", n) for n in range(2, 7)] + [("B", n) for n in range(1, 7)]
-    cases += [("D", n) for n in range(2, 7)]
-    for kind, n in cases:
+    for kind, n in _chambers(6):
         ok = cones.klivans_swartz_check(kind, n)
         out.append(_result(f"klivans-swartz {kind}{n}", ok, True, ok))
     return out
 
 
 def _chamber_prediction(group: str, n: int, d: int) -> int:
-    if group == "A":
-        chi = arr_mod.CharacteristicPolynomial(
-            n - 1, expand_linear_factors(list(range(1, n))).coeffs
-        )
-    else:
-        chi = arr_mod.reflection_characteristic_polynomial(group, n)
+    # chambers are counted modulo the lineality space, so the prediction uses
+    # the essential arrangement: the row without the lineality's zero roots
+    t = TYPES[group]
+    chi = arr_mod.CharacteristicPolynomial(n - t.lineality, t.row(n).coeffs[t.lineality:])
     return arr_mod.intersected_region_count(chi, d)
 
 
-def check_kernel_chambers(seed: int = mc.DEFAULT_SEED, draws: int = 20) -> list[CheckResult]:
+def check_kernel_chambers(seed: int = mc.DEFAULT_SEED, draws: int = 20, **_) -> list[CheckResult]:
     """The kernel of a generic increment matrix meets a deterministic number
     of group chambers, equal to the arrangement prediction."""
     out = []
@@ -162,7 +159,7 @@ def check_kernel_chambers(seed: int = mc.DEFAULT_SEED, draws: int = 20) -> list[
         counts = set()
         for _ in range(draws):
             inc = rng.standard_normal((d, n))
-            if group == "A":
+            if TYPES[group].lineality:
                 inc = walks.make_bridge(inc)
             counts.add(walks.chamber_intersection_count(inc, group))
         ok = counts == {pred}
@@ -243,7 +240,7 @@ def check_crofton(
     return out
 
 
-def check_steiner(samples: int = 100000, seed: int = mc.DEFAULT_SEED) -> list[CheckResult]:
+def check_steiner(samples: int = 100000, seed: int = mc.DEFAULT_SEED, **_) -> list[CheckResult]:
     """Spherical distance distribution against the Beta mixture."""
     out = []
     for kind, n in [("B", 2), ("B", 3), ("A", 3)]:
@@ -257,11 +254,11 @@ def check_steiner(samples: int = 100000, seed: int = mc.DEFAULT_SEED) -> list[Ch
     return out
 
 
-def check_critical_window() -> list[CheckResult]:
+def check_critical_window(**_) -> list[CheckResult]:
     """Exact non-absorption near d = (1/2) log n against the normal limit."""
     out = []
     n = 5000
-    mean = 0.5 * math.log(n)
+    mean = TYPES["B"].u * math.log(n)
     for a in (-1, 0, 1):
         d = round(mean + a * math.sqrt(mean))
         exact = float(absorption_probability(WalkFamily("walk-B", n, d)).non_absorb)
@@ -278,14 +275,14 @@ def check_critical_window() -> list[CheckResult]:
     return out
 
 
-def check_large_deviations() -> list[CheckResult]:
+def check_large_deviations(**_) -> list[CheckResult]:
     """Sharp tail formula: bounded ratio at n = 10^6 and improving trend."""
     out = []
     for x in (0.5, 2.0):
         gaps = {}
         ratio6 = None
         for n in (10**4, 10**5, 10**6):
-            d = max(1, round(x * 0.5 * math.log(n)))
+            d = max(1, round(x * TYPES["B"].u * math.log(n)))
             value, side = asy.large_deviation_asymptotic("B", n, d)
             fam = WalkFamily("walk-B", n, d)
             exact = (
@@ -310,14 +307,14 @@ def check_large_deviations() -> list[CheckResult]:
     return out
 
 
-def check_fixed_dimension_trend() -> list[CheckResult]:
+def check_fixed_dimension_trend(**_) -> list[CheckResult]:
     """Fixed-d formula: |exact/asymptotic - 1| strictly decreasing in n."""
     out = []
-    for case, kind in [("A", "bridge-A"), ("B", "walk-B")]:
+    for case in ("A", "B"):
         for d in (2, 3):
             gaps = []
             for n in (10**3, 10**4, 10**5, 10**6):
-                exact = non_absorption_probability_float(WalkFamily(kind, n, d))
+                exact = non_absorption_probability_float(WalkFamily(TYPES[case].walk, n, d))
                 gaps.append(abs(exact / asy.fixed_dimension_asymptotic(case, n, d) - 1.0))
             ok = all(b < a for a, b in zip(gaps, gaps[1:]))
             out.append(
@@ -331,30 +328,26 @@ def check_fixed_dimension_trend() -> list[CheckResult]:
     return out
 
 
+#: number -> (name, check, suite)
 CRITERIA = {
-    1: ("one-dimensional identities", check_one_dimensional_identities, False),
-    2: ("Wendel equivalence", check_wendel, False),
-    3: ("region-count oracle", check_region_counts, False),
-    4: ("subspace-count oracle", check_subspace_counts, False),
-    5: ("Klivans-Swartz", check_klivans_swartz, False),
-    6: ("kernel-chamber constancy", check_kernel_chambers, False),
-    7: ("distribution-freeness", check_distribution_freeness, True),
-    8: ("lattice lower bound", check_lattice_lower_bound, True),
-    9: ("Crofton Monte Carlo", check_crofton, True),
-    10: ("Steiner Monte Carlo", check_steiner, True),
-    11: ("critical window", check_critical_window, False),
-    12: ("large deviations", check_large_deviations, False),
-    13: ("fixed-dimension trend", check_fixed_dimension_trend, False),
+    1: ("one-dimensional identities", check_one_dimensional_identities, "combinatorics"),
+    2: ("Wendel equivalence", check_wendel, "combinatorics"),
+    3: ("region-count oracle", check_region_counts, "arrangements"),
+    4: ("subspace-count oracle", check_subspace_counts, "arrangements"),
+    5: ("Klivans-Swartz", check_klivans_swartz, "conic"),
+    6: ("kernel-chamber constancy", check_kernel_chambers, "simulation"),
+    7: ("distribution-freeness", check_distribution_freeness, "simulation"),
+    8: ("lattice lower bound", check_lattice_lower_bound, "simulation"),
+    9: ("Crofton Monte Carlo", check_crofton, "conic"),
+    10: ("Steiner Monte Carlo", check_steiner, "conic"),
+    11: ("critical window", check_critical_window, "asymptotics"),
+    12: ("large deviations", check_large_deviations, "asymptotics"),
+    13: ("fixed-dimension trend", check_fixed_dimension_trend, "asymptotics"),
 }
 
-SUITES = {
-    "combinatorics": (1, 2),
-    "arrangements": (3, 4),
-    "conic": (5, 9, 10),
-    "simulation": (6, 7, 8),
-    "asymptotics": (11, 12, 13),
-    "all": tuple(range(1, 14)),
-}
+SUITES = {suite: tuple(k for k, c in CRITERIA.items() if c[2] == suite)
+          for _, _, suite in CRITERIA.values()}
+SUITES["all"] = tuple(CRITERIA)
 
 
 def run_criterion(
@@ -363,16 +356,9 @@ def run_criterion(
     seed: int = mc.DEFAULT_SEED,
     threads: int | None = None,
 ) -> list[CheckResult]:
-    name, fn, takes_mc = CRITERIA[number]
-    if takes_mc:
-        if fn is check_steiner:
-            return fn(samples=samples, seed=seed)
-        return fn(samples=samples, seed=seed, threads=threads)
-    if fn in (check_region_counts,):
-        return fn(seed=seed)
-    if fn in (check_subspace_counts, check_kernel_chambers):
-        return fn(seed=seed)
-    return fn()
+    """Run one check; every check takes these keywords and ignores the ones
+    it has no use for."""
+    return CRITERIA[number][1](samples=samples, seed=seed, threads=threads)
 
 
 def run_suite(

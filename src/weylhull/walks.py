@@ -10,14 +10,15 @@ obeys a one-sided bound.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import coefficients as coef
 from . import exactlp, hull, mc
-from .absorption import WalkFamily, absorption_probability
+from .absorption import WalkFamily
+from .cones import WeylChamber
 
 MODEL_FAMILIES = ("gaussian", "uniform-sphere", "heavy-tail", "lattice-simple", "matrix")
 
@@ -198,7 +199,7 @@ def estimate_absorption(
         raise ValueError("model and family dimensions differ")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if family.kind == "bridge-A" and model.family == "lattice-simple":
+    if family.reflection_type.lineality and model.family == "lattice-simple":
         raise ValueError("lattice-simple is not closed under exact centering")
     n = family.n_total
     closed = not model.continuous
@@ -213,11 +214,6 @@ def estimate_absorption(
         return int(inside.sum()), int(amb.sum())
 
     return mc.run_bernoulli_chunks(samples, seed, chunk, threads=threads)
-
-
-def exact_reference(family: WalkFamily) -> Fraction:
-    """The exact absorption probability the estimator is aiming at."""
-    return absorption_probability(family).absorb
 
 
 def _signed_permutation_matrices(group: str, n: int):
@@ -235,46 +231,6 @@ def _signed_permutation_matrices(group: str, n: int):
             yield np.array(signs)[:, None] * p
 
 
-def _chamber_normals(group: str, n: int) -> np.ndarray:
-    from .cones import WeylChamber
-
-    return WeylChamber(group, n).inequality_normals()
-
-
-def _float_nullspace(rows: np.ndarray, rtol: float = _RANK_RTOL) -> np.ndarray:
-    _, sv, vt = np.linalg.svd(rows)
-    rank = int(np.sum(sv > rtol * sv[0])) if sv.size else 0
-    return vt[rank:].T
-
-
-def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the kernel by rational row reduction."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][c]
-        basis.append(v)
-    return basis
-
-
 def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
     """Number of closed group chambers meeting Ker(increments) nontrivially.
 
@@ -290,24 +246,20 @@ def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
     d, n = inc.shape
     if n > CHAMBER_N_CAP:
         raise ValueError(f"chamber enumeration capped at n <= {CHAMBER_N_CAP}")
-    if group not in ("A", "B", "D"):
-        raise ValueError(f"unknown group {group!r}")
-    if group == "A":
-        if np.max(np.abs(inc.sum(axis=1))) > 1e-9 * max(1.0, np.abs(inc).max()):
-            raise ValueError("group A needs bridged increments (zero column sums)")
-        if n < 2 or d > n - 1:
-            raise ValueError("group A needs d <= n - 1")
-    elif d > n:
-        raise ValueError("need d <= n")
-    normals = _chamber_normals(group, n)
-    exact = _is_integral(inc)
-    if group == "A":
-        stacked = np.vstack([inc, np.ones(n)])
-    else:
-        stacked = inc
-    if exact:
-        rows = [[Fraction(int(round(x))) for x in r] for r in stacked]
-        kernel = _rational_nullspace(rows, n)
+    chamber = WeylChamber(group, n)
+    normals = chamber.inequality_normals()
+    line = chamber.lineality()
+    stacked = inc
+    if line is not None:
+        if np.max(np.abs(inc @ line)) > 1e-9 * max(1.0, np.abs(inc).max()):
+            raise ValueError(f"group {group} needs bridged increments (zero column sums)")
+        # chambers are counted modulo the lineality line
+        stacked = np.vstack([inc, line])
+    lineality = coef.TYPES[group].lineality
+    if d > n - lineality:
+        raise ValueError(f"group {group} needs d <= {n - lineality}")
+    if _is_integral(inc):
+        kernel = exactlp.integer_nullspace([[int(round(x)) for x in r] for r in stacked], n)
         if not kernel:
             return 0
         count = 0
@@ -321,11 +273,11 @@ def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
             if exactlp.cone_is_nontrivial(m_rows, len(kernel)):
                 count += 1
         return count
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    expected_rank = d + (1 if group == "A" else 0)
-    if int(np.sum(sv > _RANK_RTOL * sv[0])) != min(expected_rank, n):
+    _, sv, vt = np.linalg.svd(stacked)
+    rank = int(np.sum(sv > _RANK_RTOL * sv[0]))
+    if rank != min(d + lineality, n):
         raise ValueError("rank-deficient increments: general position violated")
-    kernel = _float_nullspace(stacked)
+    kernel = vt[rank:].T
     k = kernel.shape[1]
     if k == 0:
         return 0

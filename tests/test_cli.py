@@ -1,8 +1,13 @@
 import json
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
 from weylhull import cli
+from weylhull.absorption import WalkFamily, absorption_probability
+from weylhull.coefficients import EXACT_N_CAP, b_prefix
 
 
 def run(capsys, *argv):
@@ -124,3 +129,47 @@ def test_seed_random_changes_output(capsys):
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args)
     assert json.loads(out1)["config"]["seed"] != json.loads(out2)["config"]["seed"]
+
+
+def test_seed_outside_64_bits_is_a_usage_error(capsys):
+    for seed in (str(2**64), "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--model", "gaussian", "--family", "walk-B", "--steps", "3",
+                      "--dim", "1", "--samples", "10", "--seed", seed])
+        assert exc.value.code == 2
+
+
+@contextmanager
+def _no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_exact_at_cap_round_trips(capsys, fmt):
+    # the value has far more than the default 4300 digits
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "exact", "--family", "walk-B", "--steps", str(EXACT_N_CAP),
+                    "--dim", "3", "--format", fmt)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        text = json.loads(out)["result"]["absorb"]
+    else:
+        text = next(l.split(": ", 1)[1] for l in out.splitlines() if l.startswith("absorb: "))
+    with _no_digit_limit():
+        num, den = (int(x) for x in text.split("/"))
+    assert Fraction(num, den) == absorption_probability(WalkFamily("walk-B", EXACT_N_CAP, 3)).absorb
+
+
+def test_coeffs_past_digit_limit_round_trip(capsys):
+    code, out = run(capsys, "coeffs", "--type", "B", "--n", str(EXACT_N_CAP), "--kmax", "3",
+                    "--format", "json")
+    assert code == 0
+    with _no_digit_limit():
+        got = [int(c) for c in json.loads(out)["result"]["coefficients"]]
+    assert got == list(b_prefix(EXACT_N_CAP, 3))

@@ -57,7 +57,7 @@ def test_prefix_reaches_large_n():
 
 def test_exact_cap_enforced():
     with pytest.raises(coef.ExactModeCapError):
-        coef.stirling_row(coef.EXACT_N_CAP + 1, cap=coef.EXACT_N_CAP)
+        coef.stirling_row(coef.EXACT_N_CAP + 1)
 
 
 def test_product_row_two_walks():

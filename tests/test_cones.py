@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from weylhull import cones
@@ -57,6 +59,27 @@ def test_projection_matches_kkt_oracle():
             assert np.all(ch.inequality_normals() @ p >= -1e-9)
 
 
+@pytest.mark.parametrize("kind", "ABD")
+@pytest.mark.parametrize("n", range(2, 8))
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_projection_is_the_moreau_decomposition(kind, n, data):
+    # p is the projection of y onto the closed convex cone C exactly when
+    # p lies in C, y - p lies in the polar cone, and the two are orthogonal
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    y = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
+    ch = cones.WeylChamber(kind, n)
+    p, dsq = cones.project_onto_weyl_chamber(ch, y)
+    size = float(np.abs(y).sum())  # bounds |y| and does not underflow
+    residual = y - p
+    assert np.all(ch.inequality_normals() @ p >= -1e-9 * size)
+    assert abs(residual @ p) <= 1e-9 * max(size, 1.0) ** 2
+    assert np.all(ch.generators().T @ residual <= 1e-9 * size)
+    if ch.lineality() is not None:
+        assert abs(residual @ ch.lineality()) <= 1e-9 * size
+    assert dsq == pytest.approx(float(residual @ residual), abs=1e-12 * max(size, 1.0) ** 2)
+
+
 def test_steiner_cdf_endpoints_and_monotone():
     for kind, n in [("B", 3), ("A", 3), ("D", 3)]:
         v = cones.weyl_intrinsic_volumes(kind, n)
@@ -90,12 +113,13 @@ def test_crofton_exact_at_codim_zero():
 
 
 def test_crofton_matches_half_tail():
-    for kind, n, d in [("B", 3, 1), ("B", 3, 2), ("D", 3, 1), ("A", 4, 2)]:
+    for kind, n, d in [("B", 3, 1), ("B", 3, 2), ("D", 3, 1), ("A", 4, 2), ("A", 4, 3), ("A", 5, 3)]:
         ch = cones.WeylChamber(kind, n)
         v = cones.weyl_intrinsic_volumes(kind, n)
         exact = float(cones.half_tail(v, d + 1).value)
         est = cones.crofton_mc_estimate(ch, d, 30000, seed=21)
         assert abs(est.estimate - exact) <= 5 * max(est.stderr, 1e-12)
+        assert est.ambiguous_fraction < 1e-3
 
 
 def test_schlafli_expected_volumes():

@@ -78,6 +78,14 @@ def test_stream_rng_reproducible_and_distinct():
     assert not np.array_equal(a, c)
 
 
+def test_stream_rng_rejects_aliasing_seeds():
+    # the Philox key holds 64 bits of seed: 0 and 2**64 would share a stream
+    mc.stream_rng(2**64 - 1, 0)
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError):
+            mc.stream_rng(seed, 0)
+
+
 def test_chunked_estimate_thread_independent():
     def chunk(rng, size):
         draws = rng.random(size)
