@@ -9,7 +9,7 @@ dimension, and the symmetry type enter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,59 +19,62 @@ from . import coefficients as coef
 #: as an internal cross-check of the parity identity
 _CROSS_CHECK_CAP = 200
 
-KINDS = tuple(coef.WALK_TYPES) + ("joint-B", "wendel")
+#: kind -> steps -> the family's factors, one (type, steps) pair per
+#: independent walk: a joint walk is a product of type-B chambers, and
+#: Wendel's r i.i.d. points are r one-step walks
+_FACTORS = {t.walk: lambda steps, t=t: ((t, steps),) for t in coef.TYPES.values()}
+_FACTORS["joint-B"] = lambda steps: tuple(
+    (coef.TYPES["B"], n) for n in ((steps,) if isinstance(steps, int) else steps))
+_FACTORS["wendel"] = lambda r: ((coef.TYPES["B"], 1),) * (r if isinstance(r, int) else len(r))
+
+KINDS = tuple(_FACTORS)
 
 
 @dataclass(frozen=True)
 class WalkFamily:
     """A walk/bridge family: symmetry type, step count(s) and dimension.
 
-    kind 'joint-B' (and 'wendel') takes a tuple of step counts; the others a
-    single positive integer.
+    The family's chamber is the direct product of its factors' chambers, so
+    its row is the product of their rows and its group order, lineality and
+    step count are the factors' totals.  kind 'joint-B' (and 'wendel') takes
+    a tuple of step counts; the others a single positive integer.
     """
 
     kind: str
     steps: int | tuple[int, ...]
     dimension: int
+    factors: tuple[tuple[coef.ReflectionType, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown walk kind {self.kind!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind in ("joint-B", "wendel"):
-            ns = self.ns
-            if not ns or any(n < 1 for n in ns):
-                raise ValueError("each step count must be >= 1")
-        else:
-            if not isinstance(self.steps, int) or self.steps < 1:
-                raise ValueError("steps must be a positive integer")
-
-    @property
-    def ns(self) -> tuple[int, ...]:
-        if self.kind == "wendel":
-            # r one-step walks
-            r = self.steps if isinstance(self.steps, int) else len(self.steps)
-            return (1,) * r
-        if self.kind == "joint-B":
-            return tuple(self.steps) if not isinstance(self.steps, int) else (self.steps,)
-        raise AttributeError("ns only defined for joint families")
+        factors = _FACTORS[self.kind](self.steps)
+        if not factors:
+            raise ValueError("need at least one walk")
+        for t, n in factors:
+            # fewer steps leave no chamber, e.g. a one-step bridge has no hull points
+            if not isinstance(n, int) or n < t.chamber_min_n:
+                raise ValueError(f"{self.kind} needs integer step counts >= {t.chamber_min_n}")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def n_total(self) -> int:
-        if self.kind in ("joint-B", "wendel"):
-            return sum(self.ns)
-        return self.steps
+        return sum(n for _, n in self.factors)
 
     @property
-    def reflection_type(self) -> coef.ReflectionType:
-        """The family's type; joint walks are products of type-B walks."""
-        return coef.WALK_TYPES.get(self.kind, coef.TYPES["B"])
+    def lineality(self) -> int:
+        return sum(t.lineality for t, _ in self.factors)
+
+    @property
+    def group_order(self) -> int:
+        return math.prod(t.order(n) for t, n in self.factors)
 
     @property
     def within_hypotheses(self) -> bool:
-        t = self.reflection_type
-        return self.n_total >= max(t.min_n, self.dimension + t.lineality)
+        return self.n_total >= self.dimension + self.lineality
 
 
 @dataclass(frozen=True)
@@ -105,19 +108,6 @@ def _clamp_same_parity(start: int, n: int) -> int:
     return n if (start - n) % 2 == 0 else n - 1
 
 
-def _family_data(family: WalkFamily):
-    """(group order, full-row callable, prefix callable) for the family."""
-    n = family.n_total
-    t = coef.WALK_TYPES.get(family.kind)
-    if t is not None:
-        t.check(n)
-        return t.order(n), lambda: t.row(n).coeffs, lambda k: t.prefix(n, k)
-    ns = family.ns
-    order = math.prod(family.reflection_type.order(ni) for ni in ns)
-    row = lambda: coef.product_row(ns).coeffs
-    return order, row, lambda k: row()[: k + 1]
-
-
 def absorption_probability(family: WalkFamily) -> AbsorptionResult:
     """Exact absorption probability for the given walk family.
 
@@ -125,19 +115,17 @@ def absorption_probability(family: WalkFamily) -> AbsorptionResult:
     evaluated and the result is flagged via ``within_hypotheses``.
     """
     n, d = family.n_total, family.dimension
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    order, row_fn, prefix_fn = _family_data(family)
     # the non-absorb side indexes downward from d - 1 plus the lineality, so
     # it only ever needs a short prefix of the row; the absorb side follows
     # by complement
-    lo_start = d - 1 + family.reflection_type.lineality
+    lo_start = d - 1 + family.lineality
     start = _clamp_same_parity(lo_start, n)
-    prefix = prefix_fn(start) if start >= 0 else ()
-    non_absorb = Fraction(2 * _prefix_parity_tail(prefix, start), order)
+    prefix = coef.product_prefix(family.factors, start)
+    non_absorb = Fraction(2 * _prefix_parity_tail(prefix, start), family.group_order)
     absorb = 1 - non_absorb
     if n <= _CROSS_CHECK_CAP and family.within_hypotheses:
-        direct = Fraction(2 * _parity_tail(row_fn(), lo_start + 2), order)
+        row = coef.product_prefix(family.factors, n)
+        direct = Fraction(2 * _parity_tail(row, lo_start + 2), family.group_order)
         if direct != absorb:
             raise AssertionError(
                 f"parity identity violated for {family}: {direct} vs {absorb}"
@@ -160,9 +148,9 @@ def one_dimensional_reference(kind: str, n: int) -> Fraction:
     if kind == "sparre-positive":
         return Fraction(math.comb(2 * n, n), 4 ** n)
     if kind == "bridge-sign":
+        if n < 2:
+            raise ValueError("bridge-sign requires n >= 2")
         return Fraction(2, n)
-    if kind == "simple-walk-positive":
-        return Fraction(math.comb(n - 1, (n - 1) // 2), 2 ** n)
     if kind == "simple-bridge-sign":
         if n % 2 != 0 or n < 2:
             raise ValueError("simple-bridge-sign requires even n >= 2")
@@ -173,12 +161,10 @@ def one_dimensional_reference(kind: str, n: int) -> Fraction:
 def absorption_probability_float(family: WalkFamily) -> float:
     """Floating-point absorption probability; the large-n evaluation path."""
     n, d = family.n_total, family.dimension
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    t = coef.WALK_TYPES.get(family.kind)
-    if t is None:
+    if len(family.factors) > 1:
         # joint families stay exact (individual walks are short)
         return float(absorption_probability(family).absorb)
+    ((t, _),) = family.factors
     start = _clamp_same_parity(d - 1 + t.lineality, n)
     pmf = coef.bernoulli_family_lower_pmf(t.name, n, max(start, 0))
     non_absorb = 2.0 * sum(pmf[k] for k in range(start, -1, -2))

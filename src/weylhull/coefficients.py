@@ -9,9 +9,11 @@ give the ascending-power coefficient row of prod_i (t + r_i):
 * type D -- roots 1, 3, ..., 2n-3 and n-1
 
 The row divided by the group order is the chamber's conic intrinsic volume
-vector, and the rest of the package reads group orders, mirrors, lineality,
-asymptotic scale and walk family from the same record.  ``product_row(ns)``
-multiplies the type-B rows of several walks.
+vector, and the rest of the package reads group orders, mirrors, chamber
+walls, lineality, asymptotic scale, walk family and hull points from the same
+record.  A product of chambers, one factor per independent walk, has the
+product of the factors' rows; ``product_prefix`` expands it over all their
+roots at once.
 
 Exact rows are arbitrary-precision integers.  For step counts far beyond the
 exact cap there is a floating-point route through the equivalent
@@ -23,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import special as sp
@@ -60,26 +62,8 @@ class CoefficientVector:
             return self.coeffs[k]
         return 0
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     def __iter__(self):
         return iter(self.coeffs)
-
-
-@dataclass(frozen=True)
-class PoissonBinomialPMF:
-    """Distribution of a sum of independent Bernoulli(p_i) variables."""
-
-    probs: tuple[float, ...]
-    pmf: tuple[float, ...]
-
-    def __post_init__(self):
-        total = math.fsum(self.pmf)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"pmf does not sum to 1: {total!r}")
-        if any(p < 0.0 for p in self.pmf):
-            raise ValueError("pmf has negative entries")
 
 
 @dataclass(frozen=True)
@@ -104,8 +88,12 @@ class ReflectionType:
     u: float
     #: mirror normals in R^n, in the order the arrangement lists them
     mirrors: Callable[[int], list[tuple[int, ...]]]
+    #: the chamber's walls: normals g with the chamber {x : g . x >= 0}
+    walls: Callable[[int], list[tuple[int, ...]]]
     #: the walk family whose absorption probability the row gives
     walk: str
+    #: increments (count, n, d) -> the walk's hull points (count, m, d)
+    hull_points: Callable[[np.ndarray], np.ndarray]
     #: (n, kmax) -> pmf[0..kmax] of the Bernoulli sum, in floating point
     lower_pmf: Callable[[int, int], np.ndarray]
 
@@ -126,14 +114,12 @@ class ReflectionType:
     def row(self, n: int) -> CoefficientVector:
         """Coefficients of prod_i (t + r_i)."""
         _check_cap(n)
-        return CoefficientVector(_coefficients(self.name, n, n))
+        return CoefficientVector(product_prefix(((self, n),), n))
 
     def prefix(self, n: int, kmax: int) -> tuple[int, ...]:
         """The row's coefficients 0..kmax in O(n * kmax) big-int operations:
         what makes exact low-index tail sums cheap at n in the thousands."""
-        if kmax < 0:
-            raise ValueError("need kmax >= 0")
-        return _coefficients(self.name, n, kmax)
+        return product_prefix(((self, n),), kmax)
 
 
 def _check_cap(n: int) -> None:
@@ -144,36 +130,8 @@ def _check_cap(n: int) -> None:
         )
 
 
-def _expand(roots: Iterable[int], kmax: int) -> list[int]:
-    """Coefficients 0..kmax of prod_i (t + r_i).
-
-    One recurrence serves full rows (kmax = number of roots) and truncated
-    prefixes: each factor updates c_k <- r c_k + c_{k-1} in place, top index
-    first, so a prefix costs O(n * kmax) big-int operations.
-    """
-    row = [1] + [0] * kmax
-    for i, r in enumerate(roots, 1):
-        for k in range(min(i, kmax), 0, -1):
-            row[k] = r * row[k] + row[k - 1]
-        row[0] *= r
-    return row
-
-
 # ---------------------------------------------------------------------------
 # Floating-point route
-
-def poisson_binomial_pmf(probs: Sequence[float]) -> PoissonBinomialPMF:
-    """Full pmf of sum of independent Bernoulli(p_i) by the convolution DP."""
-    p = np.asarray(probs, dtype=float)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValueError("success probabilities must lie in [0, 1]")
-    pmf = np.zeros(p.size + 1)
-    pmf[0] = 1.0
-    for pi in p:
-        pmf[1:] = pmf[1:] * (1.0 - pi) + pmf[:-1] * pi
-        pmf[0] *= 1.0 - pi
-    return PoissonBinomialPMF(tuple(float(x) for x in p), tuple(float(x) for x in pmf))
-
 
 def _newton_pmf(power_sums: np.ndarray, log_q: float, kmax: int) -> np.ndarray:
     """pmf[0..kmax] from odds power sums s_j and log prod (1 - p_i).
@@ -258,31 +216,44 @@ def _units(n: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
+def _chain(n: int) -> list[tuple[int, ...]]:
+    """e_{i+1} - e_i for i = 1..n-1: the walls of x_1 <= x_2 <= ... <= x_n."""
+    return [tuple(int(j == i + 1) - int(j == i) for j in range(n)) for i in range(n - 1)]
+
+
+def _reflected_walk_points(inc: np.ndarray) -> np.ndarray:
+    """The partial sums and S_{n-1} - X_n, the endpoint with its last step reflected."""
+    s = np.cumsum(inc, axis=1)
+    star = s[:, -2, :] - inc[:, -1, :]
+    return np.concatenate([s, star[:, None, :]], axis=1)
+
+
 TYPES = {
     t.name: t
     for t in (
         ReflectionType(
             "A", roots=lambda n: list(range(n)), order=math.factorial, min_n=1,
-            lineality=1, u=1.0, mirrors=lambda n: _pairs(n, -1), walk="bridge-A",
+            lineality=1, u=1.0, mirrors=lambda n: _pairs(n, -1), walls=_chain, walk="bridge-A",
+            # the centred walk's final sum is 0 by construction, so it is dropped
+            hull_points=lambda inc: np.cumsum(inc - inc.mean(axis=1, keepdims=True), axis=1)[:, :-1],
             lower_pmf=_a_lower_pmf,
         ),
         ReflectionType(
             "B", roots=lambda n: list(range(1, 2 * n, 2)),
             order=lambda n: 2**n * math.factorial(n), min_n=1, lineality=0, u=0.5,
-            mirrors=lambda n: _units(n) + _pairs(n, -1) + _pairs(n, 1), walk="walk-B",
-            lower_pmf=_b_lower_pmf,
+            mirrors=lambda n: _units(n) + _pairs(n, -1) + _pairs(n, 1),
+            walls=lambda n: _units(n)[:1] + _chain(n), walk="walk-B",
+            hull_points=lambda inc: np.cumsum(inc, axis=1), lower_pmf=_b_lower_pmf,
         ),
         ReflectionType(
             "D", roots=lambda n: list(range(1, 2 * n - 2, 2)) + [n - 1],
             order=lambda n: 2 ** (n - 1) * math.factorial(n), min_n=2, lineality=0, u=0.5,
-            mirrors=lambda n: _pairs(n, -1) + _pairs(n, 1), walk="walk-D",
-            lower_pmf=_d_lower_pmf,
+            mirrors=lambda n: _pairs(n, -1) + _pairs(n, 1),
+            walls=lambda n: [(1, 1) + (0,) * (n - 2)] + _chain(n), walk="walk-D",
+            hull_points=_reflected_walk_points, lower_pmf=_d_lower_pmf,
         ),
     )
 }
-
-#: the record behind each single-type walk family, keyed by family name
-WALK_TYPES = {t.walk: t for t in TYPES.values()}
 
 
 def reflection_type(name: str) -> ReflectionType:
@@ -293,10 +264,26 @@ def reflection_type(name: str) -> ReflectionType:
 
 
 @lru_cache(maxsize=128)
-def _coefficients(kind: str, n: int, kmax: int) -> tuple[int, ...]:
-    t = TYPES[kind]
-    t.check(n)
-    return tuple(_expand(t.roots(n), kmax))
+def product_prefix(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -> tuple[int, ...]:
+    """Coefficients 0..kmax of the product of the rows of the (type, n)
+    factors, i.e. of prod (t + r) over all the factors' roots.
+
+    One recurrence serves full rows (kmax = number of roots) and truncated
+    prefixes: each root updates c_k <- r c_k + c_{k-1} in place, top index
+    first, so a prefix costs O(n * kmax) big-int operations.
+    """
+    if kmax < 0:
+        raise ValueError("need kmax >= 0")
+    row = [1] + [0] * kmax
+    i = 0
+    for t, n in factors:
+        t.check(n)
+        for r in t.roots(n):
+            i += 1
+            for k in range(min(i, kmax), 0, -1):
+                row[k] = r * row[k] + row[k - 1]
+            row[0] *= r
+    return tuple(row)
 
 
 #: the rows and prefixes under their classical names
@@ -305,21 +292,14 @@ b_row, b_prefix = TYPES["B"].row, TYPES["B"].prefix
 d_row, d_prefix = TYPES["D"].row, TYPES["D"].prefix
 
 
-@lru_cache(maxsize=64)
 def product_row(ns: tuple[int, ...]) -> CoefficientVector:
     """Coefficients of prod_i (t+1)(t+3)...(t+2 n_i - 1): the product of the
-    type-B rows, expanded over all their roots at once."""
+    type-B rows."""
     ns = tuple(int(n) for n in ns)
     if not ns or any(n < 1 for n in ns):
         raise ValueError("each n_i must be >= 1")
     _check_cap(sum(ns))
-    roots = [r for n in ns for r in TYPES["B"].roots(n)]
-    return CoefficientVector(tuple(_expand(roots, len(roots))))
-
-
-def stirling_unsigned(n: int, k: int) -> int:
-    """Coefficient of t^k in t(t+1)...(t+n-1); 0 outside 1..n."""
-    return stirling_row(n)[k]
+    return CoefficientVector(product_prefix(tuple((TYPES["B"], n) for n in ns), sum(ns)))
 
 
 def bernoulli_family_lower_pmf(family: str, n: int, kmax: int) -> np.ndarray:

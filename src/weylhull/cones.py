@@ -16,8 +16,9 @@ from scipy.optimize import isotonic_regression
 from scipy.special import betainc
 
 from . import coefficients as coef
-from . import hull, mc
+from . import exactlp, hull, mc
 from .arrangements import (
+    WHITNEY_CAP,
     build_reflection_arrangement,
     reflection_characteristic_polynomial,
     schlafli_count,
@@ -38,19 +39,14 @@ class IntrinsicVolumeVector:
 
     n: int
     v: tuple
-    exact: bool
 
     def __post_init__(self):
         if len(self.v) != self.n + 1:
             raise ValueError("need n + 1 intrinsic volumes")
-        total = sum(self.v)
-        if self.exact:
-            if total != 1:
-                raise ValueError("intrinsic volumes must sum to 1")
-            if any(x < 0 for x in self.v):
-                raise ValueError("intrinsic volumes must be nonnegative")
-        elif abs(float(total) - 1.0) > 1e-9:
+        if sum(self.v) != 1:
             raise ValueError("intrinsic volumes must sum to 1")
+        if any(x < 0 for x in self.v):
+            raise ValueError("intrinsic volumes must be nonnegative")
 
     def as_floats(self) -> list[float]:
         return [float(x) for x in self.v]
@@ -59,7 +55,7 @@ class IntrinsicVolumeVector:
 @dataclass(frozen=True)
 class HalfTailValue:
     k: int
-    value: object  # Fraction in exact mode, float otherwise
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -83,38 +79,47 @@ class WeylChamber:
 
     def inequality_normals(self) -> np.ndarray:
         """Rows g with the chamber equal to {x : g @ x >= 0 for all g}: the
-        differences e_i - e_{i-1}, after e_1 for B and after e_1 + e_2 for D."""
-        eye = np.eye(self.n)
-        rows = [eye[i] - eye[i - 1] for i in range(1, self.n)]
-        if self.kind == "B":
-            rows.insert(0, eye[0])
-        elif self.kind == "D":
-            rows.insert(0, eye[0] + eye[1])
-        return np.array(rows)
+        type's walls."""
+        return np.array(coef.TYPES[self.kind].walls(self.n), dtype=float)
 
     def generators(self) -> np.ndarray:
         """Columns spanning the chamber: conic hull of these equals the
         chamber (for type A together with the lineality line).
 
-        They are the tails e_{n-j+1} + ... + e_n, j = 1..n; type A drops the
-        last one, which spans the lineality line, and type D replaces the
-        last two by (1, 1, ..., 1) and (-1, 1, ..., 1).
+        They are the dual basis of the walls, each scaled to coprime integers:
+        column j lies on every wall but wall j, and on x_i = 0 for i up to
+        the lineality's dimension, which fixes it modulo the lineality.
+        Columns run from the last wall to the first.
         """
-        n = self.n
-        tails = [np.concatenate([np.zeros(n - j), np.ones(j)]) for j in range(1, n + 1)]
-        if self.kind == "A":
-            return np.column_stack(tails[:-1])
-        if self.kind == "D":
-            minus = np.ones(n)
-            minus[0] = -1.0
-            tails = tails[:-2] + [np.ones(n), minus]
-        return np.column_stack(tails)
+        t = coef.TYPES[self.kind]
+        walls = t.walls(self.n)
+        rows = walls + np.eye(self.n, dtype=int)[: t.lineality].tolist()
+        cols = []
+        for j in reversed(range(len(walls))):
+            (g,) = exactlp.integer_nullspace(rows[:j] + rows[j + 1 :], self.n)
+            g = exactlp.primitive_row(g)
+            cols.append(g if np.dot(walls[j], g) > 0 else [-x for x in g])
+        return np.array(cols, dtype=float).T
 
     def lineality(self) -> np.ndarray | None:
-        """The direction spanning the lineality line, if there is one."""
-        if coef.TYPES[self.kind].lineality:
-            return np.ones(self.n)
-        return None
+        """The direction spanning the lineality line, if any: the walls' kernel."""
+        kernel = exactlp.integer_nullspace(coef.TYPES[self.kind].walls(self.n), self.n)
+        return np.array(exactlp.primitive_row(kernel[0]), dtype=float) if kernel else None
+
+    def group_elements(self) -> np.ndarray:
+        """The group as (order, n, n) integer matrices, generated by the wall reflections."""
+        n = self.n
+        walls = np.array(coef.TYPES[self.kind].walls(n))
+        eye = np.eye(n, dtype=int)
+        # x -> x - 2 (w . x) w / (w . w), integral for the walls of a Weyl group
+        norms = (walls * walls).sum(axis=1)[:, None, None]
+        reflections = eye - 2 * walls[:, :, None] * walls[:, None, :] // norms
+        elements, frontier = {}, [eye]
+        while frontier:
+            elements.update((g.tobytes(), g) for g in frontier)
+            products = (reflections[:, None] @ np.array(frontier)).reshape(-1, n, n)
+            frontier = list({g.tobytes(): g for g in products if g.tobytes() not in elements}.values())
+        return np.array(list(elements.values()))
 
 
 def weyl_intrinsic_volumes(kind: str, n: int) -> IntrinsicVolumeVector:
@@ -122,7 +127,7 @@ def weyl_intrinsic_volumes(kind: str, n: int) -> IntrinsicVolumeVector:
     row of the matching reflection group divided by the group order."""
     order = WeylChamber(kind, n).group_order
     row = coef.TYPES[kind].row(n).coeffs
-    return IntrinsicVolumeVector(n, tuple(Fraction(c, order) for c in row), exact=True)
+    return IntrinsicVolumeVector(n, tuple(Fraction(c, order) for c in row))
 
 
 def half_tail(v: IntrinsicVolumeVector, k: int) -> HalfTailValue:
@@ -243,20 +248,14 @@ def sample_sphere_distances(
     chamber: WeylChamber, samples: int, seed: int = mc.DEFAULT_SEED
 ) -> np.ndarray:
     """Squared distances to the chamber from uniform points on the sphere."""
-    out = np.empty(samples)
-    pos = 0
-    stream = 0
-    while pos < samples:
-        size = min(mc.CHUNK, samples - pos)
-        rng = mc.stream_rng(seed, stream)
+
+    def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         g = rng.standard_normal((size, chamber.n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        for i in range(size):
-            _, dsq = project_onto_weyl_chamber(chamber, g[i])
-            out[pos + i] = dsq
-        pos += size
-        stream += 1
-    return out
+        return np.fromiter((project_onto_weyl_chamber(chamber, y)[1] for y in g), float, size)
+
+    # one thread: the per-sample projections hold the interpreter lock
+    return np.concatenate([np.empty(0), *mc.run_chunks(samples, seed, chunk, threads=1)])
 
 
 def schlafli_expected_volumes(m: int, n: int) -> list[Fraction]:
@@ -280,14 +279,16 @@ def klivans_swartz_check(kind: str, n: int) -> bool:
     """Group order times chamber volumes equals the characteristic
     coefficients of the mirror arrangement.
 
-    For n <= 4 the right-hand side is recomputed independently through the
-    Whitney subset sum; beyond that the closed-form roots are used.
+    Up to WHITNEY_CAP mirrors the right-hand side is recomputed independently
+    through the Whitney subset sum; beyond that the closed-form roots are
+    used, and the check only tests the closed form against itself.
     """
     if n > 6:
         raise ValueError("check supported for n <= 6")
     vols = weyl_intrinsic_volumes(kind, n)
-    if n <= 4:
-        chi = whitney_characteristic_polynomial(build_reflection_arrangement(kind, n))
+    arr = build_reflection_arrangement(kind, n)
+    if arr.size <= WHITNEY_CAP:
+        chi = whitney_characteristic_polynomial(arr)
     else:
         chi = reflection_characteristic_polynomial(kind, n)
     order = coef.TYPES[kind].order(n)

@@ -62,6 +62,29 @@ class MCEstimate:
         return (self.estimate - reference) / self.stderr
 
 
+def run_chunks(
+    samples: int,
+    seed: int,
+    chunk_fn: Callable[[np.random.Generator, int], object],
+    threads: int | None = None,
+) -> list:
+    """chunk_fn(rng, size) for each fixed-size chunk, in stream order."""
+    sizes = [CHUNK] * (samples // CHUNK)
+    if samples % CHUNK:
+        sizes.append(samples % CHUNK)
+    nworkers = resolve_threads(threads)
+
+    def work(args):
+        stream, size = args
+        return chunk_fn(stream_rng(seed, stream), size)
+
+    jobs = list(enumerate(sizes))
+    if nworkers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            return list(pool.map(work, jobs))
+    return [work(j) for j in jobs]
+
+
 def run_bernoulli_chunks(
     samples: int,
     seed: int,
@@ -75,21 +98,7 @@ def run_bernoulli_chunks(
     scale * hits/samples, with the binomial standard error scaled the same
     way.
     """
-    sizes = [CHUNK] * (samples // CHUNK)
-    if samples % CHUNK:
-        sizes.append(samples % CHUNK)
-    nworkers = resolve_threads(threads)
-
-    def work(args):
-        stream, size = args
-        return chunk_fn(stream_rng(seed, stream), size)
-
-    jobs = list(enumerate(sizes))
-    if nworkers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            tallies = list(pool.map(work, jobs))
-    else:
-        tallies = [work(j) for j in jobs]
+    tallies = run_chunks(samples, seed, chunk_fn, threads)
     hits = sum(t[0] for t in tallies)
     ambiguous = sum(t[1] for t in tallies)
     p = hits / samples

@@ -36,6 +36,12 @@ class CheckResult:
     observed: str
 
 
+#: random rational subspaces per (chamber, codimension) in criterion 4
+_SUBSPACE_DRAWS = 10
+#: random increment matrices per configuration in criterion 6
+_KERNEL_DRAWS = 20
+
+
 def _result(name: str, passed: bool, expected, observed) -> CheckResult:
     return CheckResult(name, bool(passed), str(expected), str(observed))
 
@@ -48,9 +54,10 @@ def check_one_dimensional_identities(**_) -> list[CheckResult]:
         walk = absorption_probability(WalkFamily("walk-B", n, 1)).non_absorb
         ref = 2 * one_dimensional_reference("sparre-positive", n)
         out.append(_result(f"walk-positivity n={n}", walk == ref, ref, walk))
-        bridge = absorption_probability(WalkFamily("bridge-A", n, 1)).non_absorb
-        ref = Fraction(2, n)
-        out.append(_result(f"bridge-sign n={n}", bridge == ref, ref, bridge))
+        if n >= 2:  # a one-step bridge has no hull points
+            bridge = absorption_probability(WalkFamily("bridge-A", n, 1)).non_absorb
+            ref = one_dimensional_reference("bridge-sign", n)
+            out.append(_result(f"bridge-sign n={n}", bridge == ref, ref, bridge))
     return out
 
 
@@ -106,7 +113,7 @@ def check_region_counts(seed: int = mc.DEFAULT_SEED, **_) -> list[CheckResult]:
     return out
 
 
-def check_subspace_counts(seed: int = mc.DEFAULT_SEED, draws: int = 10, **_) -> list[CheckResult]:
+def check_subspace_counts(seed: int = mc.DEFAULT_SEED, **_) -> list[CheckResult]:
     """Closed-form intersected-region count vs per-region LP counting on
     random rational subspaces."""
     out = []
@@ -117,7 +124,7 @@ def check_subspace_counts(seed: int = mc.DEFAULT_SEED, draws: int = 10, **_) -> 
         for d in range(1, n):
             pred = arr_mod.intersected_region_count(chi, d)
             got = []
-            for _ in range(draws):
+            for _ in range(_SUBSPACE_DRAWS):
                 basis = rng.standard_normal((n - d, n))
                 rows = [
                     tuple(Fraction(float(x)).limit_denominator(1000) for x in b)
@@ -132,9 +139,11 @@ def check_subspace_counts(seed: int = mc.DEFAULT_SEED, draws: int = 10, **_) -> 
 
 def check_klivans_swartz(**_) -> list[CheckResult]:
     """Group order times chamber intrinsic volumes equals the arrangement
-    coefficient row."""
+    coefficient row, recomputed by the Whitney sum up to WHITNEY_CAP mirrors."""
     out = []
     for kind, n in _chambers(6):
+        if len(TYPES[kind].mirrors(n)) > arr_mod.WHITNEY_CAP:
+            continue
         ok = cones.klivans_swartz_check(kind, n)
         out.append(_result(f"klivans-swartz {kind}{n}", ok, True, ok))
     return out
@@ -148,7 +157,7 @@ def _chamber_prediction(group: str, n: int, d: int) -> int:
     return arr_mod.intersected_region_count(chi, d)
 
 
-def check_kernel_chambers(seed: int = mc.DEFAULT_SEED, draws: int = 20, **_) -> list[CheckResult]:
+def check_kernel_chambers(seed: int = mc.DEFAULT_SEED, **_) -> list[CheckResult]:
     """The kernel of a generic increment matrix meets a deterministic number
     of group chambers, equal to the arrangement prediction."""
     out = []
@@ -157,7 +166,7 @@ def check_kernel_chambers(seed: int = mc.DEFAULT_SEED, draws: int = 20, **_) -> 
     for n, d, group in configs:
         pred = _chamber_prediction(group, n, d)
         counts = set()
-        for _ in range(draws):
+        for _ in range(_KERNEL_DRAWS):
             inc = rng.standard_normal((d, n))
             if TYPES[group].lineality:
                 inc = walks.make_bridge(inc)

@@ -9,7 +9,6 @@ obeys a one-sided bound.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,9 +144,9 @@ def origin_in_hull(points, tol: float = DEFAULT_TOL) -> HullMembership:
     m, d = pts.shape
     if _is_integral(pts):
         rows = [[Fraction(int(x)) for x in p] for p in pts]
-        position = exactlp.origin_hull_position(rows, d)
-        if position == "outside":
-            u = np.array([float(x) for x in exactlp.separating_direction(rows, d)])
+        u = exactlp.separating_direction(rows, d)
+        if u is not None:
+            u = np.array([float(x) for x in u])
             u /= np.linalg.norm(u)
             return HullMembership(False, "separator", u, False, float("nan"))
         _, lam, _ = hull.min_norm_point(pts)
@@ -160,25 +159,13 @@ def origin_in_hull(points, tol: float = DEFAULT_TOL) -> HullMembership:
 
 
 def _point_sets(family: WalkFamily, inc: np.ndarray) -> np.ndarray:
-    """Hull point sets (count, m, d) from increment batches (count, n, d)."""
-    kind = family.kind
-    if kind == "bridge-A":
-        centered = inc - inc.mean(axis=1, keepdims=True)
-        s = np.cumsum(centered, axis=1)
-        return s[:, :-1, :]  # the final sum is 0 by construction
-    if kind == "walk-B":
-        return np.cumsum(inc, axis=1)
-    if kind == "walk-D":
-        s = np.cumsum(inc, axis=1)
-        star = s[:, -2, :] - inc[:, -1, :]
-        return np.concatenate([s, star[:, None, :]], axis=1)
-    # joint-B / wendel: independent walks, pooled hull points
-    pieces = []
-    start = 0
-    for ni in family.ns:
-        pieces.append(np.cumsum(inc[:, start : start + ni, :], axis=1))
-        start += ni
-    return np.concatenate(pieces, axis=1)
+    """Hull point sets (count, m, d) from increment batches (count, n, d):
+    each factor's hull points from its own steps, pooled."""
+    ends = np.cumsum([n for _, n in family.factors])
+    parts = np.split(inc, ends[:-1], axis=1)
+    pieces = [t.hull_points(part) for (t, _), part in zip(family.factors, parts)]
+    # a single walk's points are used as they are, not copied
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
 
 def estimate_absorption(
@@ -199,7 +186,7 @@ def estimate_absorption(
         raise ValueError("model and family dimensions differ")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if family.reflection_type.lineality and model.family == "lattice-simple":
+    if family.lineality and model.family == "lattice-simple":
         raise ValueError("lattice-simple is not closed under exact centering")
     n = family.n_total
     closed = not model.continuous
@@ -214,21 +201,6 @@ def estimate_absorption(
         return int(inside.sum()), int(amb.sum())
 
     return mc.run_bernoulli_chunks(samples, seed, chunk, threads=threads)
-
-
-def _signed_permutation_matrices(group: str, n: int):
-    """All elements of the reflection group as n x n matrices."""
-    for perm in itertools.permutations(range(n)):
-        p = np.zeros((n, n))
-        for i, j in enumerate(perm):
-            p[i, j] = 1.0
-        if group == "A":
-            yield p
-            continue
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            if group == "D" and np.prod(signs) < 0:
-                continue
-            yield np.array(signs)[:, None] * p
 
 
 def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
@@ -258,20 +230,15 @@ def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
     lineality = coef.TYPES[group].lineality
     if d > n - lineality:
         raise ValueError(f"group {group} needs d <= {n - lineality}")
+    group_elements = chamber.group_elements()
     if _is_integral(inc):
         kernel = exactlp.integer_nullspace([[int(round(x)) for x in r] for r in stacked], n)
         if not kernel:
             return 0
         count = 0
-        for g in _signed_permutation_matrices(group, n):
-            gn = normals @ g
-            m_rows = [
-                [sum(Fraction(int(round(gn[i, j]))) * kernel[b][j] for j in range(n))
-                 for b in range(len(kernel))]
-                for i in range(len(gn))
-            ]
-            if exactlp.cone_is_nontrivial(m_rows, len(kernel)):
-                count += 1
+        for g in group_elements:
+            rows = [[sum(int(x) * y for x, y in zip(w, b)) for b in kernel] for w in normals @ g]
+            count += exactlp.cone_is_nontrivial(rows, len(kernel))
         return count
     _, sv, vt = np.linalg.svd(stacked)
     rank = int(np.sum(sv > _RANK_RTOL * sv[0]))
@@ -281,17 +248,13 @@ def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
     k = kernel.shape[1]
     if k == 0:
         return 0
-    mats = np.stack([normals @ g @ kernel for g in _signed_permutation_matrices(group, n)])
+    mats = normals @ group_elements @ kernel
     scale = np.linalg.norm(mats, axis=2).max(axis=1)
     mats = mats / np.maximum(scale, 1e-300)[:, None, None]
     # the restricted cone is trivial exactly when the restricted normals
     # positively span the kernel, i.e. 0 is interior to their convex hull
     inside, amb = hull.batch_origin_in_hull(mats, 1e-9)
-    if amb.any():
-        resolved = 0
-        for i in np.flatnonzero(amb):
-            rows = [[Fraction(float(x)) for x in r] for r in mats[i]]
-            if exactlp.cone_is_nontrivial(rows, k):
-                resolved += 1
-        return int(len(mats) - inside.sum() - amb.sum() + resolved)
-    return int(len(mats) - inside.sum())
+    # ambiguous samples are settled by the exact cone test
+    resolved = sum(exactlp.cone_is_nontrivial([[Fraction(float(x)) for x in r] for r in mats[i]], k)
+                   for i in np.flatnonzero(amb))
+    return int(len(mats) - inside.sum() - amb.sum() + resolved)

@@ -88,3 +88,26 @@ def test_invalid_families_rejected():
 def test_outside_hypotheses_flagged():
     res = absorption_probability(WalkFamily("walk-B", 2, 5))
     assert not res.within_hypotheses
+
+
+def test_joint_and_wendel_families_are_products_of_factors():
+    # one joint factor is a plain walk, and Wendel's r points are r one-step walks
+    for n in (1, 2, 5, 9):
+        for d in range(1, n + 2):
+            joint = absorption_probability(WalkFamily("joint-B", (n,), d))
+            walk = absorption_probability(WalkFamily("walk-B", n, d))
+            assert (joint.absorb, joint.within_hypotheses) == (walk.absorb, walk.within_hypotheses)
+    for r in (1, 2, 6, 11):
+        for d in range(1, r + 2):
+            wendel = absorption_probability(WalkFamily("wendel", r, d))
+            joint = absorption_probability(WalkFamily("joint-B", (1,) * r, d))
+            assert (wendel.absorb, wendel.within_hypotheses) == (joint.absorb, joint.within_hypotheses)
+
+
+def test_step_counts_without_a_chamber_rejected():
+    # a one-step bridge has no hull points, and D needs two coordinates
+    for kind, steps in (("bridge-A", 1), ("walk-D", 1), ("joint-B", (3, 0)), ("wendel", 0)):
+        with pytest.raises(ValueError):
+            WalkFamily(kind, steps, 1)
+    with pytest.raises(ValueError):
+        one_dimensional_reference("bridge-sign", 1)

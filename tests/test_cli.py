@@ -173,3 +173,10 @@ def test_coeffs_past_digit_limit_round_trip(capsys):
     with _no_digit_limit():
         got = [int(c) for c in json.loads(out)["result"]["coefficients"]]
     assert got == list(b_prefix(EXACT_N_CAP, 3))
+
+
+def test_one_step_bridge_is_a_usage_error(capsys):
+    # one step leaves a bridge no hull points, so no probability to print
+    for dim in ("1", "2"):
+        code, out = run(capsys, "exact", "--family", "bridge-A", "--steps", "1", "--dim", dim)
+        assert code == 2 and out == ""

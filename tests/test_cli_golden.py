@@ -53,7 +53,7 @@ GOLDEN = [
     ("simulate --model gaussian --family walk-B --steps 6 --dim 2 --samples 20000 --format json",
      "56332a00a8104ebf8abec1b0055b00871bd86ad79a189a2f2d1e7f7bd5d25617"),
     ("verify --suite combinatorics",
-     "88fe55ed6164c4e6ea165cbf91a3e56302cc02d22d6c823dd8582777427f1cca"),
+     "7f2ebcd570c91d05bc9b12f3ebe202fe63504b96da61faec667d7a4587f5e4da"),
 ]
 
 

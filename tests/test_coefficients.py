@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -33,10 +34,15 @@ def test_row_sums_are_group_orders():
             assert sum(coef.d_row(n).coeffs) == 2 ** (n - 1) * math.factorial(n)
 
 
+def stirling_unsigned(n: int, k: int) -> int:
+    """Coefficient of t^k in t(t+1)...(t+n-1); 0 outside 1..n."""
+    return coef.stirling_row(n)[k]
+
+
 def test_stirling_recurrence():
     for n, k in product(range(2, 10), range(1, 10)):
-        expect = coef.stirling_unsigned(n - 1, k - 1) + (n - 1) * coef.stirling_unsigned(n - 1, k)
-        assert coef.stirling_unsigned(n, k) == expect
+        expect = stirling_unsigned(n - 1, k - 1) + (n - 1) * stirling_unsigned(n - 1, k)
+        assert stirling_unsigned(n, k) == expect
 
 
 def test_prefixes_match_rows():
@@ -71,6 +77,34 @@ def test_product_row_two_walks():
     assert got == tuple(expect)
 
 
+@dataclass(frozen=True)
+class PoissonBinomialPMF:
+    """Distribution of a sum of independent Bernoulli(p_i) variables."""
+
+    probs: tuple[float, ...]
+    pmf: tuple[float, ...]
+
+    def __post_init__(self):
+        total = math.fsum(self.pmf)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"pmf does not sum to 1: {total!r}")
+        if any(p < 0.0 for p in self.pmf):
+            raise ValueError("pmf has negative entries")
+
+
+def poisson_binomial_pmf(probs) -> PoissonBinomialPMF:
+    """Full pmf of sum of independent Bernoulli(p_i) by the convolution DP."""
+    p = np.asarray(probs, dtype=float)
+    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+        raise ValueError("success probabilities must lie in [0, 1]")
+    pmf = np.zeros(p.size + 1)
+    pmf[0] = 1.0
+    for pi in p:
+        pmf[1:] = pmf[1:] * (1.0 - pi) + pmf[:-1] * pi
+        pmf[0] *= 1.0 - pi
+    return PoissonBinomialPMF(tuple(float(x) for x in p), tuple(float(x) for x in pmf))
+
+
 def _brute_pmf(probs):
     dist = [1.0]
     for p in probs:
@@ -84,9 +118,13 @@ def _brute_pmf(probs):
 
 def test_poisson_binomial_matches_convolution():
     probs = [1 / i for i in range(1, 9)]
-    got = coef.poisson_binomial_pmf(probs)
+    got = poisson_binomial_pmf(probs)
     expect = _brute_pmf(probs)
     assert np.allclose(got.pmf, expect, atol=1e-14)
+    # the same oracle checks each type's float route, p_i = 1/(1 + r_i)
+    for name, t in coef.TYPES.items():
+        want = poisson_binomial_pmf([1 / (1 + r) for r in t.roots(9)]).pmf
+        assert coef.bernoulli_family_lower_pmf(name, 9, 9) == pytest.approx(want, abs=1e-12)
 
 
 def test_family_pmf_matches_exact_row():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from weylhull import cones
+from weylhull import cones, verify
+from weylhull.coefficients import TYPES
 
 
 def test_intrinsic_volumes_small():
@@ -37,6 +39,41 @@ def test_generators_satisfy_inequalities():
         normals = ch.inequality_normals()
         gens = ch.generators()
         assert np.all(normals @ gens >= -1e-12)
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_generators_are_the_dual_basis_of_the_walls(kind):
+    # each generator lies on every wall but one, and on the positive side of that one
+    for n in range(TYPES[kind].chamber_min_n, 8):
+        ch = cones.WeylChamber(kind, n)
+        pairing = ch.inequality_normals() @ ch.generators()
+        scale = pairing.max(axis=0)
+        assert np.all(scale >= 1) and np.array_equal(scale, np.round(scale))
+        perm = pairing / scale
+        assert set(np.unique(perm)) <= {0.0, 1.0}
+        assert np.all(perm.sum(axis=0) == 1) and np.all(perm.sum(axis=1) == 1)
+        if ch.lineality() is not None:
+            assert np.all(ch.inequality_normals() @ ch.lineality() == 0)
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_group_elements_are_the_whole_reflection_group(kind):
+    for n in range(TYPES[kind].chamber_min_n, 6):
+        ch = cones.WeylChamber(kind, n)
+        g = ch.group_elements()
+        assert g.shape == (TYPES[kind].order(n), n, n)
+        assert len({m.tobytes() for m in g}) == len(g)
+        # signed permutation matrices: one entry +-1 in each row and column
+        assert np.all(np.abs(g).sum(axis=1) == 1) and np.all(np.abs(g).sum(axis=2) == 1)
+        assert set(np.unique(g)) <= {-1, 0, 1}
+
+
+def test_klivans_swartz_fails_against_a_wrong_whitney_sum(monkeypatch):
+    # every line of criterion 5 must rest on the independent Whitney side
+    monkeypatch.setattr(cones, "whitney_characteristic_polynomial",
+                        lambda arr: SimpleNamespace(a=(0,) * (arr.ambient_dim + 1)))
+    results = verify.check_klivans_swartz()
+    assert results and not any(r.passed for r in results)
 
 
 def _projection_oracle(chamber, y):

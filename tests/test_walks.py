@@ -171,3 +171,13 @@ def test_chamber_count_input_validation():
     dup = np.array([[0.3, 1.7, -0.4], [0.3, 1.7, -0.4]])
     with pytest.raises(ValueError):
         walks.chamber_intersection_count(dup, "B")  # rank-deficient
+
+
+def test_single_factor_families_sample_the_same_points():
+    model = walks.IncrementModel("gaussian", 2)
+    walk = walks.estimate_absorption(model, WalkFamily("walk-B", 5, 2), 3000, seed=4)
+    joint = walks.estimate_absorption(model, WalkFamily("joint-B", (5,), 2), 3000, seed=4)
+    assert walk == joint
+    wendel = walks.estimate_absorption(model, WalkFamily("wendel", 4, 2), 3000, seed=4)
+    joint = walks.estimate_absorption(model, WalkFamily("joint-B", (1,) * 4, 2), 3000, seed=4)
+    assert wendel == joint
