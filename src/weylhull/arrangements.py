@@ -235,9 +235,9 @@ def enumerate_regions(arr: Arrangement) -> frozenset[tuple[int, ...]]:
     n = arr.ambient_dim
     if arr.size == 0:
         return frozenset({()})
-    normals = [tuple(Fraction(x) for x in h.normal) for h in arr.hyperplanes]
+    normals = [h.normal for h in arr.hyperplanes]
     first = normals[0]
-    regions: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = [
+    regions: list[tuple[tuple[int, ...], tuple]] = [
         ((1,), first),
         ((-1,), tuple(-x for x in first)),
     ]

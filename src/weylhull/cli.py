@@ -275,6 +275,8 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_asympt(args) -> int:
+    if args.regime == "fixed" and args.d is None:
+        raise SystemExit2("the fixed regime needs --d")
     ns = [int(float(tok)) for tok in args.n_grid.split(",") if tok]
     case = args.case
     kind = TYPES[case].walk

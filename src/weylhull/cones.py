@@ -20,7 +20,6 @@ from . import exactlp, hull, mc
 from .arrangements import (
     WHITNEY_CAP,
     build_reflection_arrangement,
-    reflection_characteristic_polynomial,
     schlafli_count,
     whitney_characteristic_polynomial,
 )
@@ -223,7 +222,7 @@ def crofton_mc_estimate(
     if d <= coef.TYPES[chamber.kind].lineality:
         # W = R^n at d = 0; for d <= dim L, W meets span(L, g) for a generator
         # g in a line with one ray in C.  Either way h_{d+1} = 1/2 exactly
-        return mc.MCEstimate(0.5, 0.0, samples, seed, 0.0)
+        return mc.MCEstimate(0.5, 0.0, mc.check_samples(samples), seed, 0.0)
     gens = chamber.generators()
     line = chamber.lineality()
     band = _CROFTON_BAND * max(1.0, float(np.linalg.norm(gens, axis=0).max()))
@@ -255,7 +254,7 @@ def sample_sphere_distances(
         return np.fromiter((project_onto_weyl_chamber(chamber, y)[1] for y in g), float, size)
 
     # one thread: the per-sample projections hold the interpreter lock
-    return np.concatenate([np.empty(0), *mc.run_chunks(samples, seed, chunk, threads=1)])
+    return np.concatenate(mc.run_chunks(samples, seed, chunk, threads=1))
 
 
 def schlafli_expected_volumes(m: int, n: int) -> list[Fraction]:
@@ -280,16 +279,19 @@ def klivans_swartz_check(kind: str, n: int) -> bool:
     coefficients of the mirror arrangement.
 
     Up to WHITNEY_CAP mirrors the right-hand side is recomputed independently
-    through the Whitney subset sum; beyond that the closed-form roots are
-    used, and the check only tests the closed form against itself.
+    through the Whitney subset sum; beyond that through the Shephard-Todd
+    count over the group, sum_w t^(dim ker(w - I)) = prod (t + r_i), which
+    reads neither the roots nor the rows.
     """
     if n > 6:
         raise ValueError("check supported for n <= 6")
     vols = weyl_intrinsic_volumes(kind, n)
     arr = build_reflection_arrangement(kind, n)
     if arr.size <= WHITNEY_CAP:
-        chi = whitney_characteristic_polynomial(arr)
+        chi = whitney_characteristic_polynomial(arr).a
     else:
-        chi = reflection_characteristic_polynomial(kind, n)
+        eye = np.eye(n, dtype=int)
+        fixed = [n - exactlp.integer_rank((g - eye).tolist()) for g in WeylChamber(kind, n).group_elements()]
+        chi = [fixed.count(k) for k in range(n + 1)]
     order = coef.TYPES[kind].order(n)
-    return all(chi.a[k] == order * vols.v[k] for k in range(n + 1))
+    return all(chi[k] == order * vols.v[k] for k in range(n + 1))

@@ -2,16 +2,16 @@
 
 All region, cone and hull oracles in this package reduce to feasibility
 questions of the form "maximize a slack margin subject to linear
-inequalities".  Solving them over Fraction removes every tolerance question:
-an open region either admits margin 1 or margin 0, never 10^-9.
+inequalities".  Solving them on integer rows, scaled from the exact rational
+input, removes every tolerance question: an open region either admits
+margin 1 or margin 0, never 10^-9.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence
-
-Matrix = Sequence[Sequence[Fraction]]
 
 
 class UnboundedError(Exception):
@@ -64,13 +64,9 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_echelon(rows))
 
 
-def fraction_rank(rows: Matrix) -> int:
+def fraction_rank(rows: Sequence[Sequence]) -> int:
     """Rank of a rational matrix (clears denominators row by row)."""
     return integer_rank([primitive_row(r) for r in rows])
-
-
-def fraction_nullity(rows: Matrix, ncols: int) -> int:
-    return ncols - fraction_rank(rows)
 
 
 def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
@@ -93,60 +89,57 @@ def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fr
     return basis
 
 
-def simplex_max(c: Sequence[Fraction], a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, list[Fraction]]:
+def simplex_max(c: Sequence, a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, list[Fraction]]:
     """Maximize c.x subject to a.x <= b, x >= 0, with b >= 0.
 
     Returns (optimum, x).  Uses Bland's rule, so it terminates on any input;
     raises UnboundedError if the objective is unbounded.
+
+    Tableau rows are coprime integer vectors, [a_i | e_i | b_i | 0] and the
+    objective [c | 0 | 0 | 1] with its positive scale last.  Pivots clear the
+    entering column with reduce_row, so each row stays a positive multiple of
+    the Fraction tableau's row, with the same signs, ratios and pivots.
     """
     m, n = len(a), len(c)
     if any(bi < 0 for bi in b):
         raise ValueError("simplex_max requires b >= 0")
-    # tableau rows: [a | I | b]; objective row keeps reduced costs
-    tab = [[Fraction(x) for x in a[i]] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(b[i])]
-           for i in range(m)]
-    cost = [Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    rhs = n + m
+    tab = [primitive_row([*a[i], *(int(i == j) for j in range(m)), b[i], 0]) for i in range(m)]
+    cost = primitive_row([*c, *[0] * (m + 1), 1])
     basis = list(range(n, n + m))
     while True:
-        enter = next((j for j in range(n + m) if cost[j] > 0), None)
+        enter = next((j for j in range(rhs) if cost[j] > 0), None)
         if enter is None:
             break
-        leave, best = None, None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave is None:
+        eligible = [i for i, row in enumerate(tab) if row[enter] > 0]
+        if not eligible:
             raise UnboundedError("unbounded objective")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        # least ratio rhs / entry, compared by cross-multiplication over the
+        # positive entries; ties go to the least basic variable
+        leave = min(eligible, key=cmp_to_key(
+            lambda i, k: tab[i][rhs] * tab[k][enter] - tab[k][rhs] * tab[i][enter] or basis[i] - basis[k]))
+        pivot = [(enter, tab[leave])]
+        for i, row in enumerate(tab):
+            if i != leave and row[enter]:
+                tab[i] = reduce_row(pivot, row)[1]
+        cost = reduce_row(pivot, cost)[1]
         basis[leave] = enter
     x = [Fraction(0)] * n
-    for i, j in enumerate(basis):
+    for row, j in zip(tab, basis):
         if j < n:
-            x[j] = tab[i][-1]
-    return -cost[-1], x
+            x[j] = Fraction(row[rhs], row[j])
+    return Fraction(-cost[rhs], cost[-1]), x
 
 
-def _max_margin(rows: Matrix, margins: Sequence[int], dim: int) -> tuple[Fraction, list[Fraction]]:
+def _max_margin(rows: Sequence, margins: Sequence[int], dim: int) -> tuple[Fraction, list[Fraction]]:
     """Maximize t subject to row.x >= margin * t for each row and t <= 1,
     over free x written as x+ - x-; returns (optimum, [x+, x-, t])."""
-    a = [[-Fraction(x) for x in r] + [Fraction(x) for x in r] + [Fraction(m)]
-         for r, m in zip(rows, margins)]
-    a.append([Fraction(0)] * (2 * dim) + [Fraction(1)])
-    b = [Fraction(0)] * len(rows) + [Fraction(1)]
-    c = [Fraction(0)] * (2 * dim) + [Fraction(1)]
-    return simplex_max(c, a, b)
+    a = [[-x for x in r] + list(r) + [m] for r, m in zip(rows, margins)]
+    a.append([0] * (2 * dim) + [1])
+    return simplex_max([0] * (2 * dim) + [1], a, [0] * len(rows) + [1])
 
 
-def open_cone_point(rows: Matrix, dim: int) -> list[Fraction] | None:
+def open_cone_point(rows: Sequence[Sequence], dim: int) -> list[Fraction] | None:
     """A point x with row.x > 0 for every row, or None if none exists.
 
     Decided by maximizing t subject to row.x >= t, t <= 1: the optimum is 1
@@ -158,27 +151,22 @@ def open_cone_point(rows: Matrix, dim: int) -> list[Fraction] | None:
     return [x[i] - x[dim + i] for i in range(dim)]
 
 
-def cone_is_nontrivial(rows: Matrix, dim: int) -> bool:
+def cone_is_nontrivial(rows: Sequence[Sequence], dim: int) -> bool:
     """Whether {x : row.x >= 0 for all rows} contains a nonzero point."""
-    if fraction_nullity(rows, dim) > 0:
+    # positive scaling leaves the cone as it is and makes the row sum exact
+    rows = [primitive_row(r) for r in rows]
+    if integer_rank(rows) < dim:
         return True
     # kernel trivial: ask for a point with row sums bounded away from zero
-    total = [sum(Fraction(r[j]) for r in rows) for j in range(dim)]
-    opt, _ = _max_margin(list(rows) + [total], [0] * len(rows) + [1], dim)
+    total = [sum(col) for col in zip(*rows)]
+    opt, _ = _max_margin(rows + [total], [0] * len(rows) + [1], dim)
     return opt > 0
 
 
-def separating_direction(points: Matrix, dim: int) -> list[Fraction] | None:
-    """A direction u with u.p >= 1 for every point p, or None.
-
-    Exists exactly when the origin lies outside the closed convex hull.
-    """
-    return open_cone_point(points, dim)
-
-
-def origin_hull_position(points: Matrix, dim: int) -> str:
+def origin_hull_position(points: Sequence[Sequence], dim: int) -> str:
     """'outside', 'boundary' or 'interior' of the closed convex hull."""
-    if separating_direction(points, dim) is not None:
+    # a u with u.p > 0 for every point p separates the origin from the hull
+    if open_cone_point(points, dim) is not None:
         return "outside"
     # origin is in the hull; it sits on the boundary iff some supporting
     # hyperplane through 0 exists, i.e. {u : p.u >= 0 for all p} != {0}

@@ -29,6 +29,13 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_samples(samples: int) -> int:
+    """The sample count itself; ValueError below 1, where no estimate exists."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    return samples
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for one chunk of work."""
     return np.random.Generator(np.random.Philox(key=check_seed(seed) * 2**64 + stream))
@@ -69,7 +76,7 @@ def run_chunks(
     threads: int | None = None,
 ) -> list:
     """chunk_fn(rng, size) for each fixed-size chunk, in stream order."""
-    sizes = [CHUNK] * (samples // CHUNK)
+    sizes = [CHUNK] * (check_samples(samples) // CHUNK)
     if samples % CHUNK:
         sizes.append(samples % CHUNK)
     nworkers = resolve_threads(threads)

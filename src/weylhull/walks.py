@@ -10,7 +10,6 @@ obeys a one-sided bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -143,8 +142,8 @@ def origin_in_hull(points, tol: float = DEFAULT_TOL) -> HullMembership:
         raise ValueError("tol must be positive")
     m, d = pts.shape
     if _is_integral(pts):
-        rows = [[Fraction(int(x)) for x in p] for p in pts]
-        u = exactlp.separating_direction(rows, d)
+        # a u with u.p > 0 for every point p separates the origin from the hull
+        u = exactlp.open_cone_point(pts.astype(int).tolist(), d)
         if u is not None:
             u = np.array([float(x) for x in u])
             u /= np.linalg.norm(u)
@@ -184,8 +183,8 @@ def estimate_absorption(
     """
     if model.dimension != family.dimension:
         raise ValueError("model and family dimensions differ")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if family.lineality and model.family == "lattice-simple":
         raise ValueError("lattice-simple is not closed under exact centering")
     n = family.n_total
@@ -255,6 +254,6 @@ def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
     # positively span the kernel, i.e. 0 is interior to their convex hull
     inside, amb = hull.batch_origin_in_hull(mats, 1e-9)
     # ambiguous samples are settled by the exact cone test
-    resolved = sum(exactlp.cone_is_nontrivial([[Fraction(float(x)) for x in r] for r in mats[i]], k)
+    resolved = sum(exactlp.cone_is_nontrivial(mats[i].tolist(), k)
                    for i in np.flatnonzero(amb))
     return int(len(mats) - inside.sum() - amb.sum() + resolved)

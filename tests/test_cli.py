@@ -123,6 +123,27 @@ def test_domain_error_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "cone crofton --type B --n 3 --codim 1 --samples 0",
+    "cone crofton --type B --n 3 --codim 1 --samples -5",
+    "cone crofton --type A --n 4 --codim 1 --samples 0",
+])
+def test_sample_count_below_one_is_a_usage_error(capsys, argv):
+    assert cli.main(argv.split()) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
+def test_nonpositive_tol_is_a_usage_error(capsys):
+    argv = "simulate --model gaussian --family walk-B --steps 6 --dim 2 --samples 2000 --tol -1"
+    assert cli.main(argv.split()) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_fixed_regime_without_d_is_a_usage_error(capsys):
+    assert cli.main(["asympt", "--case", "B", "--regime", "fixed"]) == 2
+    assert "--d" in capsys.readouterr().err
+
+
 def test_seed_random_changes_output(capsys):
     args = ("simulate", "--model", "gaussian", "--family", "walk-B", "--steps", "3",
             "--dim", "1", "--samples", "16384", "--seed", "random", "--format", "json")

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from weylhull import cones, verify
+from weylhull import coefficients, cones, verify
+from weylhull.arrangements import WHITNEY_CAP
 from weylhull.coefficients import TYPES
 
 
@@ -168,6 +169,23 @@ def test_schlafli_expected_volumes():
 def test_klivans_swartz_small():
     for kind, n in [("A", 3), ("B", 3), ("B", 5), ("D", 4)]:
         assert cones.klivans_swartz_check(kind, n)
+
+
+def test_klivans_swartz_fails_against_a_wrong_row_above_the_whitney_cap(monkeypatch):
+    # swapping two same-parity coefficients keeps the row's sum and its
+    # even/odd split, so every validation passes; only the group count can
+    # catch it for B5 and D6, whose mirrors exceed the Whitney cap
+    real = coefficients.product_prefix
+
+    def swapped(factors, kmax):
+        row = list(real(factors, kmax))
+        row[0], row[2] = row[2], row[0]
+        return tuple(row)
+
+    monkeypatch.setattr(coefficients, "product_prefix", swapped)
+    for kind, n in [("B", 5), ("D", 6)]:
+        assert len(TYPES[kind].mirrors(n)) > WHITNEY_CAP
+        assert not cones.klivans_swartz_check(kind, n)
 
 
 def test_sample_sphere_distances_deterministic():
