@@ -19,6 +19,12 @@ from . import coefficients as coef
 #: as an internal cross-check of the parity identity
 _CROSS_CHECK_CAP = 200
 
+#: below this the float absorb is summed directly over the upper tail
+#: instead of taken as 1 - non_absorb, which would cancel
+_DIRECT_ABSORB = 1e-3
+#: degrees above start that the direct upper sum covers
+_UPPER_MARGIN = 40
+
 #: kind -> steps -> the family's factors, one (type, steps) pair per
 #: independent walk: a joint walk is a product of type-B chambers, and
 #: Wendel's r i.i.d. points are r one-step walks
@@ -158,18 +164,27 @@ def one_dimensional_reference(kind: str, n: int) -> Fraction:
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
+def _float_tails(family: WalkFamily) -> tuple[float, float]:
+    """(absorb, non_absorb) in floating point, each summed from its own side
+    of one pmf so that a tiny tail is never the complement of a large one.
+
+    Each parity class of the Bernoulli sum holds exactly 1/2 (every type has
+    a root with p = 1/2), so absorb is also twice the parity sum above start.
+    """
+    n = family.n_total
+    start = _clamp_same_parity(family.dimension - 1 + family.lineality, n)
+    pmf = coef.product_pmf(family.factors, min(start + _UPPER_MARGIN, n))
+    non_absorb = 2.0 * float(pmf[start::-2].sum())
+    absorb = 1.0 - non_absorb
+    if absorb < _DIRECT_ABSORB:
+        absorb = 2.0 * float(pmf[start + 2::2].sum())
+    return absorb, non_absorb
+
+
 def absorption_probability_float(family: WalkFamily) -> float:
     """Floating-point absorption probability; the large-n evaluation path."""
-    n, d = family.n_total, family.dimension
-    if len(family.factors) > 1:
-        # joint families stay exact (individual walks are short)
-        return float(absorption_probability(family).absorb)
-    ((t, _),) = family.factors
-    start = _clamp_same_parity(d - 1 + t.lineality, n)
-    pmf = coef.bernoulli_family_lower_pmf(t.name, n, max(start, 0))
-    non_absorb = 2.0 * sum(pmf[k] for k in range(start, -1, -2))
-    return 1.0 - non_absorb
+    return _float_tails(family)[0]
 
 
 def non_absorption_probability_float(family: WalkFamily) -> float:
-    return 1.0 - absorption_probability_float(family)
+    return _float_tails(family)[1]

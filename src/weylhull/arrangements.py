@@ -9,7 +9,6 @@ depends on floating point.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,18 +184,6 @@ def zaslavsky_region_count(chi: CharacteristicPolynomial) -> int:
     return sum(chi.a)
 
 
-def restrict_characteristic_polynomial(chi: CharacteristicPolynomial, d: int) -> CharacteristicPolynomial:
-    """Characteristic polynomial of the induced arrangement on a generic
-    subspace of codimension d: low coefficients collapse into the constant
-    term, the rest shift down by d."""
-    n = chi.ambient_dim
-    if not 1 <= d <= n - 1:
-        raise ValueError("codimension out of range")
-    constant = abs(sum((-1) ** (n - k) * chi.a[k] for k in range(d + 1)))
-    a = (constant,) + chi.a[d + 1 :]
-    return CharacteristicPolynomial(n - d, a)
-
-
 def intersected_region_count(chi: CharacteristicPolynomial, d: int) -> int:
     """Number of regions met by a generic subspace of codimension d."""
     n = chi.ambient_dim
@@ -205,21 +192,6 @@ def intersected_region_count(chi: CharacteristicPolynomial, d: int) -> int:
     if d == 0:
         return zaslavsky_region_count(chi)
     return 2 * sum(chi.a[k] for k in range(d + 1, n + 1, 2))
-
-
-def schlafli_count(m: int, n: int) -> int:
-    """Regions cut from R^n by m central hyperplanes in general position."""
-    if not m >= n >= 1:
-        raise ValueError("need m >= n >= 1")
-    return 2 * sum(math.comb(m - 1, k) for k in range(n))
-
-
-def generic_coefficients(m: int, n: int) -> CharacteristicPolynomial:
-    """Characteristic polynomial of m generic central hyperplanes in R^n."""
-    if not m >= n >= 1:
-        raise ValueError("need m >= n >= 1")
-    a = [math.comb(m - 1, n - 1)] + [math.comb(m, n - k) for k in range(1, n + 1)]
-    return CharacteristicPolynomial(n, tuple(a))
 
 
 @lru_cache(maxsize=64)
@@ -342,9 +314,3 @@ def parse_arrangement(text: str) -> Arrangement:
     if dim is None:
         raise ValueError("missing 'dim n' header")
     return Arrangement(dim, tuple(normals))
-
-
-def format_arrangement(arr: Arrangement) -> str:
-    lines = [f"dim {arr.ambient_dim}"]
-    lines += [" ".join(str(x) for x in h.normal) for h in arr.hyperplanes]
-    return "\n".join(lines) + "\n"

@@ -98,11 +98,3 @@ def large_deviation_asymptotic(case: str, n: float, d: int) -> tuple[float, str]
     value = n ** (-rate) / math.sqrt(2.0 * math.pi * x * u * math.log(n)) * _prefactor(u, x)
     side = "non-absorb" if x < 1.0 else "absorb"
     return value, side
-
-
-def phase_boundary(case: str, d: int) -> float:
-    """The transition location n* = e^(d/u): absorption goes from near 0
-    for n much smaller to near 1 for n much larger, passing 1/2 at n*."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return math.exp(d / scale_parameter(case))

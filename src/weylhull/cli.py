@@ -13,6 +13,7 @@ import json
 import math
 import secrets
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,8 @@ import numpy as np
 from . import arrangements as arr_mod
 from . import asymptotics as asy
 from . import cones, mc, verify, walks
-from .absorption import KINDS, WalkFamily, absorption_probability, absorption_probability_float
+from .absorption import KINDS, WalkFamily, absorption_probability
+from .absorption import absorption_probability_float, non_absorption_probability_float
 from .coefficients import TYPES
 
 
@@ -111,10 +113,9 @@ def _cmd_exact(args) -> int:
         "format": args.format,
     }
     if args.float_mode:
-        absorb = absorption_probability_float(family)
         result = {
-            "absorb_float": absorb,
-            "non_absorb_float": 1.0 - absorb,
+            "absorb_float": absorption_probability_float(family),
+            "non_absorb_float": non_absorption_probability_float(family),
             "within_hypotheses": family.within_hypotheses,
         }
     else:
@@ -294,17 +295,15 @@ def _cmd_asympt(args) -> int:
     for n in ns:
         if args.regime == "fixed":
             d = args.d
-            approx = asy.fixed_dimension_asymptotic(case, n, d)
-            exact = 1.0 - absorption_probability_float(WalkFamily(kind, n, d))
+            approx, side = asy.fixed_dimension_asymptotic(case, n, d), "non-absorb"
         elif args.regime == "clt":
             d = args.d if args.d else round(u * math.log(n))
-            approx = asy.clt_approximation(case, n, d)
-            exact = 1.0 - absorption_probability_float(WalkFamily(kind, n, d))
+            approx, side = asy.clt_approximation(case, n, d), "non-absorb"
         else:  # ld
             d = max(1, round(args.x * u * math.log(n)))
             approx, side = asy.large_deviation_asymptotic(case, n, d)
-            p = absorption_probability_float(WalkFamily(kind, n, d))
-            exact = p if side == "absorb" else 1.0 - p
+        tail = absorption_probability_float if side == "absorb" else non_absorption_probability_float
+        exact = tail(WalkFamily(kind, n, d))
         rows.append([n, d, f"{exact:.6e}", f"{approx:.6e}", f"{exact / approx:.6f}"])
     result = {f"n={r[0]}": dict(zip(rows[0][1:], r[1:])) for r in rows[1:]}
     _emit(config, result, args.format, csv_rows=rows)
@@ -320,7 +319,13 @@ def _cmd_verify(args) -> int:
         "threads": mc.resolve_threads(args.threads),
         "format": args.format,
     }
-    report = verify.run_suite(args.suite, samples=args.samples, seed=args.seed, threads=args.threads)
+    report = {}
+    for number in verify.SUITES[args.suite]:
+        began = time.perf_counter()
+        report[number] = verify.run_criterion(
+            number, samples=args.samples, seed=args.seed, threads=args.threads)
+        # on stderr, so stdout stays byte-identical for fixed seeds
+        print(f"criterion {number}: {time.perf_counter() - began:.2f} s", file=sys.stderr)
     failures = sum(not r.passed for results in report.values() for r in results)
     if args.format == "json":
         payload = {}

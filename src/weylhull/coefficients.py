@@ -8,6 +8,8 @@ give the ascending-power coefficient row of prod_i (t + r_i):
 * type B -- roots 1, 3, ..., 2n-1
 * type D -- roots 1, 3, ..., 2n-3 and n-1
 
+The record keeps them as ``range``s, so n can run far past the exact cap.
+
 The row divided by the group order is the chamber's conic intrinsic volume
 vector, and the rest of the package reads group orders, mirrors, chamber
 walls, lineality, asymptotic scale, walk family and hull points from the same
@@ -15,9 +17,10 @@ record.  A product of chambers, one factor per independent walk, has the
 product of the factors' rows; ``product_prefix`` expands it over all their
 roots at once.
 
-Exact rows are arbitrary-precision integers.  For step counts far beyond the
-exact cap there is a floating-point route through the equivalent
-Poisson-binomial distributions, with success probabilities p_i = 1/(1 + r_i).
+Exact rows are arbitrary-precision integers.  The float twin of
+``product_prefix`` is ``product_pmf``: one pmf over the roots of any product
+of factors, of the sum of independent Bernoulli(p) with p = 1/(1 + r), whose
+k-th entry is coefficient k divided by prod (1 + r).
 """
 from __future__ import annotations
 
@@ -76,8 +79,9 @@ class ReflectionType:
     """
 
     name: str
-    #: characteristic roots r_1..r_n
-    roots: Callable[[int], list[int]]
+    #: characteristic roots r_1..r_n as ascending ``range``s, so arithmetic
+    #: runs over start, step and length and no list of n roots is built
+    roots: Callable[[int], tuple[range, ...]]
     #: group order, in closed form
     order: Callable[[int], int]
     #: smallest n whose roots define a row
@@ -94,8 +98,6 @@ class ReflectionType:
     walk: str
     #: increments (count, n, d) -> the walk's hull points (count, m, d)
     hull_points: Callable[[np.ndarray], np.ndarray]
-    #: (n, kmax) -> pmf[0..kmax] of the Bernoulli sum, in floating point
-    lower_pmf: Callable[[int, int], np.ndarray]
 
     def check(self, n: int) -> None:
         if n < self.min_n:
@@ -131,75 +133,6 @@ def _check_cap(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Floating-point route
-
-def _newton_pmf(power_sums: np.ndarray, log_q: float, kmax: int) -> np.ndarray:
-    """pmf[0..kmax] from odds power sums s_j and log prod (1 - p_i).
-
-    Newton's identities turn the power sums of the odds r_i = p_i / (1 - p_i)
-    into elementary symmetric functions e_k; then P[X = k] = e_k * prod(1-p_i).
-    """
-    e = np.zeros(kmax + 1)
-    e[0] = 1.0
-    for k in range(1, kmax + 1):
-        acc = 0.0
-        sign = 1.0
-        for j in range(1, k + 1):
-            acc += sign * e[k - j] * power_sums[j]
-            sign = -sign
-        e[k] = acc / k
-    return np.exp(log_q) * e
-
-
-def _odd_reciprocal_power_sums(n: int, jmax: int) -> np.ndarray:
-    """s[j] = sum_{i=1}^{n} (2i-1)^(-j) for j = 1..jmax, via digamma/zeta."""
-    s = np.zeros(jmax + 1)
-    if jmax >= 1:
-        s[1] = 0.5 * (sp.digamma(n + 0.5) - sp.digamma(0.5))
-    for j in range(2, jmax + 1):
-        s[j] = 2.0 ** (-j) * (sp.zeta(j, 0.5) - sp.zeta(j, n + 0.5))
-    return s
-
-
-def _unit_reciprocal_power_sums(n: int, jmax: int) -> np.ndarray:
-    """s[j] = sum_{i=1}^{n} i^(-j) for j = 1..jmax."""
-    s = np.zeros(jmax + 1)
-    if n <= 0:
-        return s
-    if jmax >= 1:
-        s[1] = sp.digamma(n + 1.0) - sp.digamma(1.0)
-    for j in range(2, jmax + 1):
-        s[j] = sp.zeta(j, 1.0) - sp.zeta(j, n + 1.0)
-    return s
-
-
-def _a_lower_pmf(n: int, kmax: int) -> np.ndarray:
-    """p_i = 1/i: row s(n,k) / n!."""
-    # p_1 = 1 shifts the count by one; the remaining odds are 1/j, j < n
-    inner = _newton_pmf(_unit_reciprocal_power_sums(n - 1, max(kmax - 1, 0)),
-                        -math.log(n), max(kmax - 1, 0)) if n > 1 else np.array([1.0])
-    pmf = np.zeros(kmax + 1)
-    pmf[1:1 + inner.size] = inner[:kmax]
-    return pmf
-
-
-def _b_lower_pmf(n: int, kmax: int) -> np.ndarray:
-    """p_i = 1/(2i): row B(n,k) / (2^n n!)."""
-    s = _odd_reciprocal_power_sums(n, kmax)
-    log_q = sp.gammaln(2 * n + 1) - 2 * sp.gammaln(n + 1) - 2 * n * math.log(2.0)
-    return _newton_pmf(s, log_q, kmax)
-
-
-def _d_lower_pmf(n: int, kmax: int) -> np.ndarray:
-    """p_i = 1/(2i) for i < n and p_n = 1/n: row D(n,k) / (2^{n-1} n!)."""
-    s = _odd_reciprocal_power_sums(n - 1, kmax)
-    s[1:] += np.array([(n - 1.0) ** (-j) for j in range(1, kmax + 1)])
-    log_q = (sp.gammaln(2 * n - 1) - 2 * sp.gammaln(n) - (2 * n - 2) * math.log(2.0)
-             + math.log1p(-1.0 / n))
-    return _newton_pmf(s, log_q, kmax)
-
-
-# ---------------------------------------------------------------------------
 # The three reflection types
 
 def _pairs(n: int, sign: int) -> list[tuple[int, ...]]:
@@ -232,25 +165,24 @@ TYPES = {
     t.name: t
     for t in (
         ReflectionType(
-            "A", roots=lambda n: list(range(n)), order=math.factorial, min_n=1,
+            "A", roots=lambda n: (range(n),), order=math.factorial, min_n=1,
             lineality=1, u=1.0, mirrors=lambda n: _pairs(n, -1), walls=_chain, walk="bridge-A",
             # the centred walk's final sum is 0 by construction, so it is dropped
             hull_points=lambda inc: np.cumsum(inc - inc.mean(axis=1, keepdims=True), axis=1)[:, :-1],
-            lower_pmf=_a_lower_pmf,
         ),
         ReflectionType(
-            "B", roots=lambda n: list(range(1, 2 * n, 2)),
+            "B", roots=lambda n: (range(1, 2 * n, 2),),
             order=lambda n: 2**n * math.factorial(n), min_n=1, lineality=0, u=0.5,
             mirrors=lambda n: _units(n) + _pairs(n, -1) + _pairs(n, 1),
             walls=lambda n: _units(n)[:1] + _chain(n), walk="walk-B",
-            hull_points=lambda inc: np.cumsum(inc, axis=1), lower_pmf=_b_lower_pmf,
+            hull_points=lambda inc: np.cumsum(inc, axis=1),
         ),
         ReflectionType(
-            "D", roots=lambda n: list(range(1, 2 * n - 2, 2)) + [n - 1],
+            "D", roots=lambda n: (range(1, 2 * n - 2, 2), range(n - 1, n)),
             order=lambda n: 2 ** (n - 1) * math.factorial(n), min_n=2, lineality=0, u=0.5,
             mirrors=lambda n: _pairs(n, -1) + _pairs(n, 1),
             walls=lambda n: [(1, 1) + (0,) * (n - 2)] + _chain(n), walk="walk-D",
-            hull_points=_reflected_walk_points, lower_pmf=_d_lower_pmf,
+            hull_points=_reflected_walk_points,
         ),
     )
 }
@@ -278,12 +210,71 @@ def product_prefix(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -
     i = 0
     for t, n in factors:
         t.check(n)
-        for r in t.roots(n):
+        for r in itertools.chain(*t.roots(n)):
             i += 1
             for k in range(min(i, kmax), 0, -1):
                 row[k] = r * row[k] + row[k - 1]
             row[0] *= r
     return tuple(row)
+
+
+#: roots at the start of each run that go through the positive-term
+#: recurrence; every later root r of the run has odds 1/r <= 1/HEAD
+HEAD = 64
+
+
+def product_pmf(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -> np.ndarray:
+    """pmf[0..kmax] of the sum of independent Bernoulli(1/(1 + r)) over all
+    the factors' roots: the float twin of ``product_prefix``, whose
+    coefficient k divided by prod (1 + r) it is.
+
+    The first HEAD roots of each run convolve the pmf with Bernoulli(p),
+    pmf_k <- (1 - p) pmf_k + p pmf_{k-1}, in which every term is positive
+    (Hong, CSDA 59, 2013); r = 0 gives p = 1, a shift.  The rest of each run
+    has small odds x = 1/r, whose power sums over a range are digamma and
+    Hurwitz-zeta differences.  Newton's identities turn them into the
+    elementary symmetric functions e_k of the odds without cancelling,
+    because the odds are small, and log prod (1 - p) = -sum log(1 + x) is the
+    log1p series of the same power sums.  The two parts are independent, so
+    their pmfs convolve.
+    """
+    if kmax < 0:
+        raise ValueError("need kmax >= 0")
+    # enough power sums for the log1p series, whose terms fall like HEAD^-j
+    jmax = max(kmax, math.ceil(53 / math.log2(HEAD)) + 1)
+    power = np.zeros(jmax + 1)
+    head = np.ones(1)
+    for t, n in factors:
+        t.check(n)
+        for run in t.roots(n):
+            # Newton's identities lose accuracy as k nears the number of odds,
+            # so a run whose tail is short next to kmax stays in the recurrence
+            cut = HEAD if len(run) > HEAD + 2 * kmax else len(run)
+            for r in run[:cut]:
+                p = 1.0 / (1.0 + r)
+                head = np.convolve(head, (1.0 - p, p))[:kmax + 1]
+            if len(run) > cut:
+                power += _odds_power_sums(run[cut:], jmax)
+    # signed[j] = (-1)^(j-1) s_j: e_k = sum_j signed[j] e_(k-j) / k, and
+    # log prod (1 - p) = sum_j (-1)^j s_j / j
+    signed = (-1.0) ** np.arange(1, jmax + 2) * power
+    log_q = -np.sum(signed[1:] / np.arange(1, jmax + 1))
+    e = np.zeros(kmax + 1)
+    e[0] = 1.0
+    for k in range(1, kmax + 1):
+        e[k] = np.dot(e[k - 1::-1], signed[1:k + 1]) / k
+    return np.convolve(head, math.exp(log_q) * e)[:kmax + 1]
+
+
+def _odds_power_sums(run: range, jmax: int) -> np.ndarray:
+    """s[j] = sum of r^-j over the run for j = 1..jmax (s[0] = 0), from the
+    digamma and Hurwitz-zeta functions at start / step."""
+    q, m, step = run.start / run.step, len(run), float(run.step)
+    s = np.zeros(jmax + 1)
+    s[1] = (sp.digamma(q + m) - sp.digamma(q)) / step
+    j = np.arange(2, jmax + 1)
+    s[2:] = (sp.zeta(j, q) - sp.zeta(j, q + m)) * step ** -j  # step**j would overflow
+    return s
 
 
 #: the rows and prefixes under their classical names
@@ -302,18 +293,9 @@ def product_row(ns: tuple[int, ...]) -> CoefficientVector:
     return CoefficientVector(product_prefix(tuple((TYPES["B"], n) for n in ns), sum(ns)))
 
 
-def bernoulli_family_lower_pmf(family: str, n: int, kmax: int) -> np.ndarray:
-    """pmf[0..kmax] of the Bernoulli-sum representation of a coefficient row,
-    with p_i = 1/(1 + r_i) over the roots of type ``family``.
-
-    Exact for every k <= kmax regardless of how much mass sits above kmax.
-    """
-    t = reflection_type(family)
-    t.check(n)
-    return t.lower_pmf(n, min(kmax, n))
-
-
 def bernoulli_family_mgf(family: str, n: int, z: float) -> float:
     """E[exp(z X_n)] for the Bernoulli-sum representation, computed directly."""
-    p = 1.0 / (1.0 + np.asarray(reflection_type(family).roots(n), dtype=float))
+    roots = np.concatenate([np.arange(r.start, r.stop, r.step, dtype=float)
+                            for r in reflection_type(family).roots(n)])
+    p = 1.0 / (1.0 + roots)
     return float(np.exp(np.sum(np.log1p(p * (math.exp(z) - 1.0)))))

@@ -6,7 +6,6 @@ values can be tested against geometry instead of against themselves.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,7 +19,6 @@ from . import exactlp, hull, mc
 from .arrangements import (
     WHITNEY_CAP,
     build_reflection_arrangement,
-    schlafli_count,
     whitney_characteristic_polynomial,
 )
 
@@ -255,23 +253,6 @@ def sample_sphere_distances(
 
     # one thread: the per-sample projections hold the interpreter lock
     return np.concatenate(mc.run_chunks(samples, seed, chunk, threads=1))
-
-
-def schlafli_expected_volumes(m: int, n: int) -> list[Fraction]:
-    """Expected intrinsic volumes of a cone cut by m generic central
-    hyperplanes, chosen uniformly among the resulting regions.
-
-    The k >= 1 entries are C(m, n-k)/C(m, n).  The k = 0 entry uses
-    C(m-1, n-1)/C(m, n): the constant coefficient of the generic
-    characteristic polynomial, which is what makes the vector sum to 1.
-    """
-    if not m >= n >= 1:
-        raise ValueError("need m >= n >= 1")
-    total = schlafli_count(m, n)
-    out = [Fraction(math.comb(m - 1, n - 1), total)]
-    out += [Fraction(math.comb(m, n - k), total) for k in range(1, n + 1)]
-    assert sum(out) == 1
-    return out
 
 
 def klivans_swartz_check(kind: str, n: int) -> bool:

@@ -52,7 +52,8 @@ def _echelon(rows: Sequence[Sequence[int]]) -> list:
 
 def primitive_row(row: Sequence) -> list[int]:
     """The rational row scaled to coprime integers; a zero row stays zero."""
-    fr = [Fraction(x) for x in row]
+    # ints and Fractions carry numerator and denominator already
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     lcm = math.lcm(*(x.denominator for x in fr))
     ints = [x.numerator * (lcm // x.denominator) for x in fr]
     g = math.gcd(*ints) or 1
@@ -161,15 +162,3 @@ def cone_is_nontrivial(rows: Sequence[Sequence], dim: int) -> bool:
     total = [sum(col) for col in zip(*rows)]
     opt, _ = _max_margin(rows + [total], [0] * len(rows) + [1], dim)
     return opt > 0
-
-
-def origin_hull_position(points: Sequence[Sequence], dim: int) -> str:
-    """'outside', 'boundary' or 'interior' of the closed convex hull."""
-    # a u with u.p > 0 for every point p separates the origin from the hull
-    if open_cone_point(points, dim) is not None:
-        return "outside"
-    # origin is in the hull; it sits on the boundary iff some supporting
-    # hyperplane through 0 exists, i.e. {u : p.u >= 0 for all p} != {0}
-    if cone_is_nontrivial(points, dim):
-        return "boundary"
-    return "interior"

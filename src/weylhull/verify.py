@@ -369,16 +369,3 @@ def run_criterion(
     it has no use for."""
     return CRITERIA[number][1](samples=samples, seed=seed, threads=threads)
 
-
-def run_suite(
-    suite: str,
-    samples: int = 100000,
-    seed: int = mc.DEFAULT_SEED,
-    threads: int | None = None,
-) -> dict[int, list[CheckResult]]:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
-    return {
-        number: run_criterion(number, samples=samples, seed=seed, threads=threads)
-        for number in SUITES[suite]
-    }

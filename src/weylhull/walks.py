@@ -84,13 +84,6 @@ def _draw_batch(model: IncrementModel, rng: np.random.Generator, count: int, n: 
     return np.broadcast_to(arr.T, (count, n, d)).copy()
 
 
-def sample_increments(model: IncrementModel, n: int, seed: int = mc.DEFAULT_SEED) -> np.ndarray:
-    """One d x n increment matrix, deterministic in (model, n, seed)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _draw_batch(model, mc.stream_rng(seed, 0), 1, n)[0].T
-
-
 def make_bridge(increments: np.ndarray) -> np.ndarray:
     """Center the columns so they sum to the zero vector exactly.
 

@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylhull.absorption import (
     WalkFamily,
     absorption_probability,
     absorption_probability_float,
+    non_absorption_probability_float,
     one_dimensional_reference,
     wendel_probability,
 )
@@ -68,6 +71,43 @@ def test_float_route_matches_exact():
             fam = WalkFamily(kind, n, d)
             exact = float(absorption_probability(fam).absorb)
             assert absorption_probability_float(fam) == pytest.approx(exact, abs=1e-11)
+
+
+# every kind with n <= 60 steps in all
+_small_families = st.one_of(
+    st.builds(lambda kind, n: (kind, n), st.sampled_from(("bridge-A", "walk-D")), st.integers(2, 60)),
+    st.builds(lambda n: ("walk-B", n), st.integers(1, 60)),
+    st.builds(lambda ns: ("joint-B", tuple(ns)), st.lists(st.integers(1, 20), min_size=1, max_size=3)),
+    st.builds(lambda r: ("wendel", r), st.integers(1, 60)),
+)
+
+
+def _assert_float_tails_match_exact(fam):
+    exact = absorption_probability(fam)
+    for got, want in ((absorption_probability_float(fam), exact.absorb),
+                      (non_absorption_probability_float(fam), exact.non_absorb)):
+        assert got >= 0.0
+        assert got == pytest.approx(float(want), rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_families, st.integers(1, 12))
+def test_float_tails_match_exact_on_small_families(family, d):
+    _assert_float_tails_match_exact(WalkFamily(*family, d))
+
+
+@pytest.mark.parametrize("kind, steps, d", [
+    ("walk-B", 2000, 26), ("walk-D", 200, 21), ("walk-B", 2000, 20), ("joint-B", (300, 500, 700), 20)])
+def test_float_tails_match_exact_in_both_tails(kind, steps, d):
+    _assert_float_tails_match_exact(WalkFamily(kind, steps, d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_families)
+def test_exact_absorb_is_a_probability_decreasing_in_d(family):
+    vals = [absorption_probability(WalkFamily(*family, d)).absorb for d in range(1, 13)]
+    assert all(0 <= v <= 1 for v in vals)
+    assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_one_dimensional_references():

@@ -3,18 +3,21 @@
 Every check delegates to the self-verification module, so the CLI `verify`
 subcommand and this suite always agree.
 """
-import pytest
+import time
 
 from weylhull import verify
 
 
 def _run(number: int, **kwargs) -> None:
     name = verify.CRITERIA[number][0]
+    began = time.perf_counter()
     results = verify.run_criterion(number, **kwargs)
+    elapsed = time.perf_counter() - began
     failures = [r for r in results if not r.passed]
     verdict = "PASS" if not failures else "FAIL"
     print(f"ACCEPTANCE {number:2d} ({name}): {verdict} "
           f"[{len(results) - len(failures)}/{len(results)} checks]")
+    print(f"    {elapsed:.2f} s")
     for r in failures:
         print(f"    {r.name}: expected {r.expected}, observed {r.observed}")
     assert not failures, f"criterion {number} ({name}): {len(failures)} check(s) failed"

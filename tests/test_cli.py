@@ -1,11 +1,14 @@
+import hashlib
 import json
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from weylhull import cli
+from test_cli_golden import GOLDEN
+from weylhull import cli, verify
 from weylhull.absorption import WalkFamily, absorption_probability
 from weylhull.coefficients import EXACT_N_CAP, b_prefix
 
@@ -109,6 +112,15 @@ def test_verify_suite_exit_codes(capsys):
     code, out = run(capsys, "verify", "--suite", "combinatorics", "--format", "plain")
     assert code == 0
     assert "[pass] criterion 1" in out
+
+
+def test_verify_times_each_criterion_on_stderr(capsys):
+    assert cli.main(["verify", "--suite", "combinatorics"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == dict(GOLDEN)["verify --suite combinatorics"]
+    matches = [re.fullmatch(r"criterion (\d+): \d+\.\d\d s", line) for line in captured.err.splitlines()]
+    assert all(matches)
+    assert [int(m.group(1)) for m in matches] == list(verify.SUITES["combinatorics"])
 
 
 def test_usage_error_exit_two(capsys):

@@ -23,7 +23,7 @@ GOLDEN = [
     ("exact --family joint-B --steps 3,4 --dim 2 --format json",
      "c6ef1b1e4d92877f20968ce1f701dd1c105cdd9f3601b9301e158a8ff327e470"),
     ("exact --family walk-B --steps 100000 --dim 2 --float",
-     "72603788f31b11d5d37249bd28576aa8a4f26409a884c1e6381cbfe7ad952c7b"),
+     "fca683c5d787ebf139fae61982b331bd86a0c7df5a1a75067c1741926be88799"),
     ("coeffs --type A --n 8",
      "6db45c02fe9e35cf11977a2f8cf302f953b42f8a13d13b39eaea4108255a5264"),
     ("coeffs --type B --n 60 --kmax 3 --format json",

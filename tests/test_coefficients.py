@@ -122,14 +122,14 @@ def test_poisson_binomial_matches_convolution():
     expect = _brute_pmf(probs)
     assert np.allclose(got.pmf, expect, atol=1e-14)
     # the same oracle checks each type's float route, p_i = 1/(1 + r_i)
-    for name, t in coef.TYPES.items():
-        want = poisson_binomial_pmf([1 / (1 + r) for r in t.roots(9)]).pmf
-        assert coef.bernoulli_family_lower_pmf(name, 9, 9) == pytest.approx(want, abs=1e-12)
+    for t in coef.TYPES.values():
+        want = poisson_binomial_pmf([1 / (1 + r) for run in t.roots(9) for r in run]).pmf
+        assert coef.product_pmf(((t, 9),), 9) == pytest.approx(want, abs=1e-12)
 
 
 def test_family_pmf_matches_exact_row():
     n = 40
-    pmf = coef.bernoulli_family_lower_pmf("B", n, 6)
+    pmf = coef.product_pmf(((coef.TYPES["B"], n),), 6)
     row = coef.b_row(n).coeffs
     order = 2**n * math.factorial(n)
     for k in range(7):
@@ -137,7 +137,7 @@ def test_family_pmf_matches_exact_row():
 
 
 def test_family_pmf_large_n_normalizes():
-    pmf = coef.bernoulli_family_lower_pmf("A", 10**6, 10)
+    pmf = coef.product_pmf(((coef.TYPES["A"], 10**6),), 10)
     assert np.all(pmf >= 0)
     assert pmf.sum() < 1.0
 

