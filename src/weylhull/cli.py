@@ -261,7 +261,7 @@ def _cmd_cone(args) -> int:
         est = cones.crofton_mc_estimate(
             chamber, args.codim, args.samples, seed=args.seed, threads=args.threads
         )
-        exact = float(cones.half_tail(v, args.codim + 1).value)
+        exact = float(cones.half_tail(v, args.codim + 1))
         result = {
             "h_estimate": est.estimate,
             "stderr": est.stderr,

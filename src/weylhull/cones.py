@@ -50,12 +50,6 @@ class IntrinsicVolumeVector:
 
 
 @dataclass(frozen=True)
-class HalfTailValue:
-    k: int
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class WeylChamber:
     """Fundamental cone of a finite reflection group acting on R^n.
 
@@ -127,11 +121,11 @@ def weyl_intrinsic_volumes(kind: str, n: int) -> IntrinsicVolumeVector:
     return IntrinsicVolumeVector(n, tuple(Fraction(c, order) for c in row))
 
 
-def half_tail(v: IntrinsicVolumeVector, k: int) -> HalfTailValue:
+def half_tail(v: IntrinsicVolumeVector, k: int) -> Fraction:
     """h_k = v_k + v_{k+2} + ..."""
     if not 0 <= k <= v.n:
         raise ValueError("index out of range")
-    return HalfTailValue(k, sum(v.v[k::2]))
+    return sum(v.v[k::2], Fraction(0))
 
 
 def steiner_tail_cdf(v: IntrinsicVolumeVector, lam: float) -> float:

@@ -1,81 +1,32 @@
 """Origin-in-convex-hull tests.
 
-Two layers: a Wolfe-style min-norm point solver for a single point set in
-any dimension (with distance output, so callers can build certificates and
-tolerance bands), and fully vectorized batch deciders for d = 1 and d = 2
-where hull membership reduces to a sign or circular-gap condition.
+Two layers: the min-norm point of a single point set in any dimension by
+nonnegative least squares (with distance output, so callers can build
+certificates and tolerance bands), and fully vectorized batch deciders for
+d = 1 and d = 2 where hull membership reduces to a sign or circular-gap
+condition.
 """
 from __future__ import annotations
 
 import numpy as np
-
-#: iteration cap for the min-norm solver; hit only on malformed input
-_WOLFE_MAX_ITER = 10000
+from scipy.optimize import nnls
 
 
 def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Min-norm point of conv(points) by Wolfe's algorithm.
+    """Min-norm point of conv(points) by nonnegative least squares.
 
     points has shape (m, d).  Returns (x, lam, dist) with x = lam @ points,
-    lam a full-length convex coefficient vector and dist = |x|.
+    lam a full-length convex coefficient vector and dist = |x|.  The
+    minimiser y >= 0 of |P^T y|^2 + (sum(y) - 1)^2 is a positive multiple of
+    the min-norm convex weights (Lawson & Hanson, 1974); P is the points
+    divided by their largest norm, which keeps degenerate and badly scaled
+    sets well conditioned.
     """
     pts = np.asarray(points, dtype=float)
-    m, _ = pts.shape
-    scale = float(np.max(np.linalg.norm(pts, axis=1))) or 1.0
-    eps = 1e-12 * scale * scale
-    drop_tol = 1e-14
-
-    def affine_minimizer(idx):
-        # min |alpha @ pts[idx]| subject to sum(alpha) = 1, via KKT system
-        sub = pts[idx]
-        k = len(idx)
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = sub @ sub.T
-        kkt[k, :k] = 1.0
-        kkt[:k, k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            return np.linalg.solve(kkt, rhs)[:k]
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-
-    active = [int(np.argmin(np.linalg.norm(pts, axis=1)))]
-    lam_a = np.array([1.0])
-    for _ in range(_WOLFE_MAX_ITER):
-        x = lam_a @ pts[active]
-        dots = pts @ x
-        j = int(np.argmin(dots))
-        if dots[j] >= float(x @ x) - eps or j in active:
-            break
-        active.append(j)
-        lam_a = np.append(lam_a, 0.0)
-        for _ in range(_WOLFE_MAX_ITER):
-            alpha = affine_minimizer(active)
-            if np.all(alpha > drop_tol):
-                lam_a = alpha
-                break
-            # step toward the affine minimizer until a coefficient vanishes
-            neg = alpha <= drop_tol
-            steps = lam_a[neg] / (lam_a[neg] - alpha[neg])
-            theta = min(1.0, float(np.min(steps)))
-            lam_a = (1.0 - theta) * lam_a + theta * alpha
-            lam_a[neg & (lam_a <= np.finfo(float).eps)] = 0.0
-            lowest = int(np.argmin(lam_a))
-            lam_a[lowest] = 0.0  # guarantee progress even under degeneracy
-            keep = lam_a > 0.0
-            active = [a for a, kp in zip(active, keep) if kp]
-            lam_a = lam_a[keep]
-            if lam_a.sum() <= 0.0:
-                lam_a = np.ones(len(active)) / max(len(active), 1)
-            else:
-                lam_a /= lam_a.sum()
-            if len(active) == 1:
-                break
-    x = lam_a @ pts[active]
-    lam = np.zeros(m)
-    for a, l in zip(active, lam_a):
-        lam[a] += l
+    scaled = pts / (np.linalg.norm(pts, axis=1).max() or 1.0)
+    y, _ = nnls(np.vstack([scaled.T, np.ones(len(pts))]), np.eye(pts.shape[1] + 1)[-1])
+    lam = y / y.sum()
+    x = lam @ pts
     return x, lam, float(np.linalg.norm(x))
 
 

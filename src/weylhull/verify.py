@@ -235,7 +235,7 @@ def check_crofton(
         chamber = cones.WeylChamber(kind, n)
         v = cones.weyl_intrinsic_volumes(kind, n)
         for d in (1, 2):
-            exact = float(cones.half_tail(v, d + 1).value)
+            exact = float(cones.half_tail(v, d + 1))
             est = cones.crofton_mc_estimate(chamber, d, samples, seed=seed, threads=threads)
             ok = abs(est.estimate - exact) <= 4 * est.stderr or est.estimate == exact
             out.append(

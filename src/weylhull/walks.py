@@ -124,7 +124,7 @@ def _is_integral(pts: np.ndarray) -> bool:
 def origin_in_hull(points, tol: float = DEFAULT_TOL) -> HullMembership:
     """Membership of the origin in the convex hull of the given points.
 
-    Numeric path: Wolfe min-norm point, inside iff distance <= tol.  Integer
+    Numeric path: min-norm point, inside iff distance <= tol.  Integer
     inputs take an exact rational LP path instead, so lattice walks get
     boundary cases right (closed-hull semantics, never ambiguous).
     """
@@ -133,6 +133,8 @@ def origin_in_hull(points, tol: float = DEFAULT_TOL) -> HullMembership:
         raise ValueError("need at least one point")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     m, d = pts.shape
     if _is_integral(pts):
         # a u with u.p > 0 for every point p separates the origin from the hull

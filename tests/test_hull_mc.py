@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from weylhull import hull, mc
@@ -40,6 +42,46 @@ def test_min_norm_point_agrees_with_lp_fuzz():
         pts = rng.standard_normal((m, d)) + 0.3 * rng.standard_normal(d)
         _, _, dist = hull.min_norm_point(pts)
         assert (dist < 1e-9) == _origin_in_hull_lp(pts)
+
+
+@st.composite
+def _scaled_point_sets(draw):
+    """m <= 30 points in d <= 6 dimensions, scaled by 10^k for k in [-8, 8]:
+    general sets, sets of a few repeated points, collinear sets (on a line
+    through the origin or not) and small-integer sets."""
+    m = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["general", "duplicated", "collinear", "integer"]))
+    k = draw(st.integers(-8, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.uniform(-2.0, 2.0) * rng.standard_normal(d)
+    if shape == "general":
+        pts = rng.standard_normal((m, d)) + shift
+    elif shape == "duplicated":
+        distinct = rng.standard_normal((int(rng.integers(1, 4)), d)) + shift
+        pts = distinct[rng.integers(0, len(distinct), size=m)]
+    elif shape == "collinear":
+        pts = np.outer(rng.standard_normal(m), rng.standard_normal(d)) + rng.integers(2) * shift
+    else:
+        pts = rng.integers(-2, 3, size=(m, d)).astype(float)
+    return pts * 10.0**k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_point_sets())
+def test_min_norm_point_certificates(pts):
+    x, lam, dist = hull.min_norm_point(pts)
+    scale = float(np.linalg.norm(pts, axis=1).max()) or 1.0
+    assert lam.shape == (len(pts),) and np.all(lam >= 0)
+    assert abs(lam.sum() - 1.0) <= 1e-12
+    assert np.array_equal(x, lam @ pts) and dist == np.linalg.norm(x)
+    # p . x >= |x|^2 for every point p certifies x as the min-norm point of
+    # the hull, whatever solver produced it
+    assert np.min(pts @ x) >= x @ x - 1e-12 * scale**2
+    # outside the ambiguity band (tol, 100 tol) the verdict is the LP's
+    tol = 1e-10
+    if not tol < dist / scale < 100 * tol:
+        assert (dist <= tol * scale) == _origin_in_hull_lp(pts / scale)
 
 
 def test_batch_matches_single_solver():

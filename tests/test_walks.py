@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,21 @@ def test_origin_in_hull_exact_lattice_boundary():
     assert res.inside and not res.boundary_ambiguous
     res = walks.origin_in_hull([(1, 1), (2, 1)])
     assert not res.inside and not res.boundary_ambiguous
+
+
+def test_origin_in_hull_rejects_non_finite_points():
+    for pts in ([[1.0, np.nan, 0.0], [-1.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0], [-1.0, 0.0, 1.0]]):
+        with pytest.raises(ValueError, match="points must be finite"):
+            walks.origin_in_hull(pts)
+
+
+def test_lattice_estimate_raises_no_runtime_warning():
+    # lattice walks repeat points and put the origin on hull faces
+    family = WalkFamily("walk-B", 16, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = walks.estimate_absorption(walks.IncrementModel("lattice-simple", 3), family, 3000, seed=7)
+    assert est.estimate >= float(absorption_probability(family).absorb)
 
 
 def test_estimate_absorption_matches_exact():
