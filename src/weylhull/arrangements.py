@@ -2,9 +2,9 @@
 
 Characteristic polynomials come from Whitney's subset expansion, region
 counts from the alternating evaluation at -1, and both are cross-checkable
-against a brute-force sign-vector enumeration driven by the exact rational
-LP oracle.  Everything is integer or Fraction arithmetic; nothing here
-depends on floating point.
+against sign-vector enumeration by deletion and restriction, which solves no
+LP.  Everything is integer or Fraction arithmetic; nothing here depends on
+floating point.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ WHITNEY_CAP = 20
 ENUMERATION_CAP = 16
 
 
-class CapExceededError(Exception):
+class CapExceededError(ValueError):
     """An exponential brute-force path was asked to exceed its size cap."""
 
 
@@ -196,39 +196,44 @@ def intersected_region_count(chi: CharacteristicPolynomial, d: int) -> int:
 
 @lru_cache(maxsize=64)
 def enumerate_regions(arr: Arrangement) -> frozenset[tuple[int, ...]]:
-    """All sign vectors of nonempty open regions, by incremental splitting.
-
-    A witness interior point is carried per region, so adding a hyperplane
-    costs one exact LP only for the sign the witness does not certify.
-    Results are cached per arrangement; subspace counting reuses them.
-    """
+    """All sign vectors of nonempty open regions, by deletion and restriction."""
     if arr.size > ENUMERATION_CAP:
         raise CapExceededError(f"region enumeration capped at {ENUMERATION_CAP}")
+    return frozenset(_witnesses(arr))
+
+
+@lru_cache(maxsize=256)
+def _witnesses(arr: Arrangement) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each region's sign vector, mapped to an integer point inside it.
+
+    The last hyperplane h splits exactly the regions of the rest that meet
+    it, which are the regions of the rest's trace on h: r(A) = r(A') + r(A'').
+    A trace region lifts to a point x on h; x +- t h, with t below every
+    |g.x| / |g.h|, lies on either side of h and on x's side of every g.
+    """
     n = arr.ambient_dim
     if arr.size == 0:
-        return frozenset({()})
-    normals = [h.normal for h in arr.hyperplanes]
-    first = normals[0]
-    regions: list[tuple[tuple[int, ...], tuple]] = [
-        ((1,), first),
-        ((-1,), tuple(-x for x in first)),
-    ]
-    for idx in range(1, len(normals)):
-        h = normals[idx]
-        new_regions = []
-        for sigma, w in regions:
-            val = sum(a * b for a, b in zip(h, w))
-            known = [1 if val > 0 else -1] if val != 0 else []
-            for s in known:
-                new_regions.append((sigma + (s,), w))
-            for s in (1, -1) if not known else ([-known[0]]):
-                rows = [tuple(si * x for x in nv) for si, nv in zip(sigma, normals)]
-                rows.append(tuple(s * x for x in h))
-                point = exactlp.open_cone_point(rows, n)
-                if point is not None:
-                    new_regions.append((sigma + (s,), tuple(point)))
-        regions = new_regions
-    return frozenset(sigma for sigma, _ in regions)
+        return {(): (0,) * n}
+    rest = Arrangement(n, arr.hyperplanes[:-1])
+    h = arr.hyperplanes[-1].normal
+    # unsplit regions keep their witness; split ones are overwritten below
+    regions = {sigma + (1 if _dot(h, w) > 0 else -1,): w for sigma, w in _witnesses(rest).items()}
+    basis = [exactlp.primitive_row(b) for b in exactlp.integer_nullspace([h], n)]
+    # in R^1 there is no basis: the trace on h is the origin alone
+    points = _witnesses(induced_arrangement(rest, Subspace(n, tuple(basis)))).values() if basis else [()]
+    for y in points:
+        x = [sum(yi * b[j] for yi, b in zip(y, basis)) for j in range(n)]
+        gx = [_dot(g.normal, x) for g in rest.hyperplanes]
+        gh = [_dot(g.normal, h) for g in rest.hyperplanes]
+        t = min((Fraction(abs(a), abs(b)) for a, b in zip(gx, gh) if b), default=Fraction(2)) / 2
+        sigma = tuple(1 if a > 0 else -1 for a in gx)
+        for s in (1, -1):
+            regions[sigma + (s,)] = tuple(exactlp.primitive_row([a + s * t * b for a, b in zip(x, h)]))
+    return regions
+
+
+def _dot(u: Sequence, v: Sequence):
+    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -240,23 +245,21 @@ class SubspaceMeetCount:
 
 def _traces(arr: Arrangement, sub: Subspace) -> list[tuple[Fraction, ...]]:
     """Each normal restricted to the subspace, in basis coordinates."""
-    return [tuple(sum(x * y for x, y in zip(h.normal, b)) for b in sub.basis)
-            for h in arr.hyperplanes]
+    return [tuple(_dot(h.normal, b) for b in sub.basis) for h in arr.hyperplanes]
 
 
 def is_general_position(arr: Arrangement, sub: Subspace) -> bool:
     """Every flat of the arrangement meets the subspace with the expected
-    dimension.  Checking subsets of at most n normals suffices, since the
-    condition depends only on the span of the chosen normals."""
-    n = arr.ambient_dim
+    dimension: any k = min(dim L, rank) independent normals keep independent
+    traces.  Smaller independent sets extend to k normals (matroid
+    augmentation), so checking the k-subsets suffices."""
     normals = [h.normal for h in arr.hyperplanes]
-    projected = _traces(arr, sub)
-    for size in range(1, min(len(normals), n) + 1):
-        for subset in itertools.combinations(range(len(normals)), size):
-            r = exactlp.fraction_rank([normals[i] for i in subset])
-            rp = exactlp.fraction_rank([projected[i] for i in subset])
-            if rp != min(r, sub.dim):
-                return False
+    traces = [exactlp.primitive_row(p) for p in _traces(arr, sub)]
+    k = min(sub.dim, exactlp.integer_rank(normals))
+    for subset in itertools.combinations(range(len(normals)), k):
+        if (exactlp.integer_rank([normals[i] for i in subset]) == k
+                and exactlp.integer_rank([traces[i] for i in subset]) < k):
+            return False
     return True
 
 
@@ -264,7 +267,12 @@ def count_regions_meeting_subspace(
     arr: Arrangement, sub: Subspace, mode: str = "open"
 ) -> SubspaceMeetCount:
     """Count regions R with R cap L nonempty (open mode) or with closure
-    meeting L outside the origin (closed mode), by exact LP per region."""
+    meeting L outside the origin (closed mode).
+
+    Open mode counts the regions of the trace arrangement on L, unless some
+    hyperplane contains L: then L misses every open region.  Closed mode asks
+    one exact LP per region.
+    """
     if mode not in ("open", "closed"):
         raise ValueError("mode must be 'open' or 'closed'")
     if sub.ambient_dim != arr.ambient_dim:
@@ -272,14 +280,11 @@ def count_regions_meeting_subspace(
     if not 1 <= sub.codim <= arr.ambient_dim - 1:
         raise ValueError("subspace codimension out of range")
     projected = _traces(arr, sub)
-    count = 0
-    for sigma in enumerate_regions(arr):
-        rows = [tuple(s * x for x in p) for s, p in zip(sigma, projected)]
-        if mode == "open":
-            hit = exactlp.open_cone_point(rows, sub.dim) is not None
-        else:
-            hit = exactlp.cone_is_nontrivial(rows, sub.dim)
-        count += hit
+    if mode == "open":
+        count = len(enumerate_regions(induced_arrangement(arr, sub))) if all(map(any, projected)) else 0
+    else:
+        count = sum(exactlp.cone_is_nontrivial([[s * x for x in p] for s, p in zip(sigma, projected)], sub.dim)
+                    for sigma in enumerate_regions(arr))
     return SubspaceMeetCount(count, is_general_position(arr, sub), mode)
 
 

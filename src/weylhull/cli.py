@@ -328,19 +328,13 @@ def _cmd_verify(args) -> int:
         print(f"criterion {number}: {time.perf_counter() - began:.2f} s", file=sys.stderr)
     failures = sum(not r.passed for results in report.values() for r in results)
     if args.format == "json":
-        payload = {}
-        for number, results in report.items():
-            name = verify.CRITERIA[number][0]
-            payload[f"{number}: {name}"] = [
-                {
-                    "check": r.name,
-                    "expected": r.expected,
-                    "observed": r.observed,
-                    "verdict": "pass" if r.passed else "FAIL",
-                }
-                for r in results
-            ]
-        print(json.dumps({"config": _json_safe(config), "result": payload}, indent=2))
+        payload = {
+            f"{number}: {verify.CRITERIA[number][0]}": [
+                {"check": r.name, "expected": r.expected, "observed": r.observed,
+                 "verdict": "pass" if r.passed else "FAIL"} for r in results]
+            for number, results in report.items()
+        }
+        _emit(config, payload, "json")
     else:
         for key, val in config.items():
             print(f"# {key}={val}")

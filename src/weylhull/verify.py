@@ -114,8 +114,9 @@ def check_region_counts(seed: int = mc.DEFAULT_SEED, **_) -> list[CheckResult]:
 
 
 def check_subspace_counts(seed: int = mc.DEFAULT_SEED, **_) -> list[CheckResult]:
-    """Closed-form intersected-region count vs per-region LP counting on
-    random rational subspaces."""
+    """Closed-form intersected-region count vs the regions of the trace
+    arrangement on random rational subspaces, enumerated by deletion and
+    restriction."""
     out = []
     rng = np.random.default_rng(seed)
     for kind, n in _chambers(4):

@@ -1,11 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weylhull import arrangements as arr_mod
+from weylhull import exactlp
 
 
 def _reflection(kind, n):
@@ -37,6 +41,129 @@ def format_arrangement(arr):
     lines = [f"dim {arr.ambient_dim}"]
     lines += [" ".join(str(x) for x in h.normal) for h in arr.hyperplanes]
     return "\n".join(lines) + "\n"
+
+
+def lp_regions(arr):
+    """Sign vectors of the open regions, one exact LP per sign a witness
+    point does not decide: the enumerator that deletion-restriction replaced."""
+    if arr.size == 0:
+        return frozenset({()})
+    n = arr.ambient_dim
+    normals = [h.normal for h in arr.hyperplanes]
+    regions = [((1,), normals[0]), ((-1,), tuple(-x for x in normals[0]))]
+    for idx in range(1, len(normals)):
+        h = normals[idx]
+        new_regions = []
+        for sigma, w in regions:
+            val = sum(a * b for a, b in zip(h, w))
+            known = [1 if val > 0 else -1] if val != 0 else []
+            new_regions += [(sigma + (s,), w) for s in known]
+            for s in (1, -1) if not known else [-known[0]]:
+                rows = [tuple(si * x for x in nv) for si, nv in zip(sigma, normals)]
+                rows.append(tuple(s * x for x in h))
+                point = exactlp.open_cone_point(rows, n)
+                if point is not None:
+                    new_regions.append((sigma + (s,), tuple(point)))
+        regions = new_regions
+    return frozenset(sigma for sigma, _ in regions)
+
+
+def lp_open_count(arr, sub):
+    """Regions whose open cone meets the subspace, one exact LP per region."""
+    traces = arr_mod._traces(arr, sub)
+    return sum(
+        exactlp.open_cone_point([[s * x for x in p] for s, p in zip(sigma, traces)], sub.dim)
+        is not None
+        for sigma in lp_regions(arr)
+    )
+
+
+def all_subsets_general_position(arr, sub):
+    """Every set of at most n normals keeps rank min(rank, dim L) on L."""
+    normals = [h.normal for h in arr.hyperplanes]
+    traces = arr_mod._traces(arr, sub)
+    for size in range(1, min(len(normals), arr.ambient_dim) + 1):
+        for subset in itertools.combinations(range(len(normals)), size):
+            r = exactlp.fraction_rank([normals[i] for i in subset])
+            if exactlp.fraction_rank([traces[i] for i in subset]) != min(r, sub.dim):
+                return False
+    return True
+
+
+def _arrangements(dims, entries, min_size=0):
+    """Random central arrangements: duplicate normals merge, zero ones drop."""
+    def build(n):
+        vectors = st.tuples(*[entries] * n).filter(any)
+        return st.lists(vectors, min_size=min_size, max_size=7).map(
+            lambda vs: arr_mod.Arrangement(n, tuple(dict.fromkeys(map(arr_mod.Hyperplane, vs)))))
+    return dims.flatmap(build)
+
+
+def _sign(normal, point):
+    value = sum(a * b for a, b in zip(normal, point))
+    return (value > 0) - (value < 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arrangements(st.integers(1, 4), st.integers(-3, 3)))
+@example(arr_mod.Arrangement(1, ()))
+@example(arr_mod.Arrangement(3, ()))
+@example(arr_mod.Arrangement(1, (arr_mod.Hyperplane((2,)),)))
+def test_enumeration_matches_lp_and_zaslavsky(arr):
+    regions = arr_mod.enumerate_regions(arr)
+    assert regions == lp_regions(arr)
+    chi = arr_mod.whitney_characteristic_polynomial(arr)
+    assert len(regions) == arr_mod.zaslavsky_region_count(chi)
+    witnesses = arr_mod._witnesses(arr)
+    assert set(witnesses) == regions
+    for sigma, point in witnesses.items():
+        assert all(isinstance(x, int) for x in point)
+        assert tuple(_sign(h.normal, point) for h in arr.hyperplanes) == sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_open_counts_and_general_position_on_special_subspaces(data):
+    # small entries make most subspaces meet some flat in excess dimension
+    arr = data.draw(_arrangements(st.integers(2, 4), st.integers(-1, 1), min_size=3))
+    n = arr.ambient_dim
+    dim = data.draw(st.integers(1, n - 1))
+    basis = data.draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n), min_size=dim, max_size=dim)
+                      .filter(lambda b: exactlp.integer_rank(b) == dim))
+    sub = arr_mod.Subspace(n, tuple(basis))
+    got = arr_mod.count_regions_meeting_subspace(arr, sub)
+    assert got.count == lp_open_count(arr, sub)
+    assert got.general_position == all_subsets_general_position(arr, sub)
+
+
+def test_subspaces_inside_a_mirror():
+    # an open region misses every mirror, so a subspace inside one meets none
+    b2 = _reflection("B", 2)
+    line = arr_mod.Subspace(2, ((1, 1),))
+    assert arr_mod.count_regions_meeting_subspace(b2, line, "open") == (
+        arr_mod.SubspaceMeetCount(0, False, "open"))
+    assert arr_mod.count_regions_meeting_subspace(b2, line, "closed").count == 4
+    b3 = _reflection("B", 3)
+    plane = arr_mod.Subspace(3, ((1, 1, 0), (0, 0, 1)))
+    assert arr_mod.count_regions_meeting_subspace(b3, plane, "open").count == 0
+    assert arr_mod.count_regions_meeting_subspace(b3, plane, "closed").count == 32
+
+
+def test_enumeration_and_open_counts_solve_no_lp(monkeypatch):
+    arr = _reflection("B", 3)
+    want = lp_regions(arr)
+    sub = arr_mod.Subspace(3, ((1, 2, 4), (0, 1, -3)))
+    chi = arr_mod.reflection_characteristic_polynomial("B", 3)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("simplex_max called")
+
+    monkeypatch.setattr(exactlp, "simplex_max", no_lp)
+    arr_mod.enumerate_regions.cache_clear()
+    arr_mod._witnesses.cache_clear()
+    assert arr_mod.enumerate_regions(arr) == want
+    got = arr_mod.count_regions_meeting_subspace(arr, sub)
+    assert got == arr_mod.SubspaceMeetCount(arr_mod.intersected_region_count(chi, 1), True, "open")
 
 
 def test_charpoly_closed_forms():

@@ -123,6 +123,18 @@ def test_verify_times_each_criterion_on_stderr(capsys):
     assert [int(m.group(1)) for m in matches] == list(verify.SUITES["combinatorics"])
 
 
+@pytest.mark.parametrize("argv", [
+    "arrangement regions --type B --n 5",
+    "arrangement charpoly --type A --n 7",
+    "arrangement intersect --type A --n 7 --codim 2",
+])
+def test_capped_arrangement_is_a_usage_error(capsys, argv):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .* capped at \d+ .*\n", captured.err)
+
+
 def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["exact", "--family", "bogus", "--steps", "3", "--dim", "1"])

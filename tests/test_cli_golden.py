@@ -54,6 +54,8 @@ GOLDEN = [
      "56332a00a8104ebf8abec1b0055b00871bd86ad79a189a2f2d1e7f7bd5d25617"),
     ("verify --suite combinatorics",
      "7f2ebcd570c91d05bc9b12f3ebe202fe63504b96da61faec667d7a4587f5e4da"),
+    ("verify --suite arrangements --format json",
+     "b2414c7767ffc809ebfbcd7a5d03666c42e7d979296923c99010311418990d77"),
 ]
 
 
