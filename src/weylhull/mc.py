@@ -36,17 +36,25 @@ def check_samples(samples: int) -> int:
     return samples
 
 
+def check_threads(threads: int) -> int:
+    """The thread count itself; ValueError below 1, where no worker runs."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return threads
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for one chunk of work."""
     return np.random.Generator(np.random.Philox(key=check_seed(seed) * 2**64 + stream))
 
 
 def resolve_threads(threads: int | None) -> int:
+    """threads, else WEYLHULL_THREADS, else 1; ValueError below 1."""
     if threads is not None:
-        return max(1, threads)
+        return check_threads(threads)
     env = os.environ.get("WEYLHULL_THREADS")
     if env:
-        return max(1, int(env))
+        return check_threads(int(env))
     return 1
 
 
@@ -79,14 +87,14 @@ def run_chunks(
     sizes = [CHUNK] * (check_samples(samples) // CHUNK)
     if samples % CHUNK:
         sizes.append(samples % CHUNK)
-    nworkers = resolve_threads(threads)
 
     def work(args):
         stream, size = args
         return chunk_fn(stream_rng(seed, stream), size)
 
     jobs = list(enumerate(sizes))
-    if nworkers > 1 and len(jobs) > 1:
+    nworkers = min(resolve_threads(threads), len(jobs))
+    if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             return list(pool.map(work, jobs))
     return [work(j) for j in jobs]

@@ -163,6 +163,18 @@ def test_nonpositive_tol_is_a_usage_error(capsys):
     assert "tol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads, env", [("0", None), ("-4", None), (None, "0"), (None, "abc")])
+def test_thread_count_below_one_is_a_usage_error(capsys, monkeypatch, threads, env):
+    argv = "simulate --model gaussian --family walk-B --steps 6 --dim 3 --samples 100".split()
+    if threads is not None:
+        argv += ["--threads", threads]
+    if env is not None:
+        monkeypatch.setenv("WEYLHULL_THREADS", env)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_fixed_regime_without_d_is_a_usage_error(capsys):
     assert cli.main(["asympt", "--case", "B", "--regime", "fixed"]) == 2
     assert "--d" in capsys.readouterr().err

@@ -52,6 +52,15 @@ GOLDEN = [
      "73fcac24183728ea8f5a5bf70bc786bc6f68250d4c8dab036c97dd5971804e57"),
     ("simulate --model gaussian --family walk-B --steps 6 --dim 2 --samples 20000 --format json",
      "56332a00a8104ebf8abec1b0055b00871bd86ad79a189a2f2d1e7f7bd5d25617"),
+    # d >= 3: the batched hull test's separation bound and its min-norm fallback
+    ("simulate --model gaussian --family walk-B --steps 16 --dim 3 --samples 20000 --format json",
+     "c4d32023ce17b4cec9c2206be7feda159785f07ebb414c0884414c0cfa77c3bf"),
+    ("simulate --model lattice-simple --family joint-B --steps 6,6 --dim 4 --samples 20000 --format json",
+     "3fcac98ca60c6bccf444fc52e87a7748926d51e8fad194fc932e9b2e5edbef1f"),
+    ("simulate --model heavy-tail --family bridge-A --steps 13 --dim 4 --samples 20000",
+     "0ff42db4f65f04866dc8975d6405fa8cbbef4527c8ae2d9054a7c6b02b85a21f"),
+    ("cone crofton --type D --n 6 --codim 3 --samples 20000 --format json",
+     "6fbe6c0301599ad48709fc4b8588082f66e52d618aa1536af55659404b6579f5"),
     ("verify --suite combinatorics",
      "7f2ebcd570c91d05bc9b12f3ebe202fe63504b96da61faec667d7a4587f5e4da"),
     ("verify --suite arrangements --format json",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -44,27 +44,33 @@ def test_min_norm_point_agrees_with_lp_fuzz():
         assert (dist < 1e-9) == _origin_in_hull_lp(pts)
 
 
-@st.composite
-def _scaled_point_sets(draw):
-    """m <= 30 points in d <= 6 dimensions, scaled by 10^k for k in [-8, 8]:
-    general sets, sets of a few repeated points, collinear sets (on a line
-    through the origin or not) and small-integer sets."""
-    m = draw(st.integers(1, 30))
-    d = draw(st.integers(1, 6))
-    shape = draw(st.sampled_from(["general", "duplicated", "collinear", "integer"]))
-    k = draw(st.integers(-8, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _shaped_points(rng, shape, m, d):
+    """m points in R^d of one shape: general, a few repeated points, collinear
+    (on a line through the origin or not) or small integers."""
     shift = rng.uniform(-2.0, 2.0) * rng.standard_normal(d)
     if shape == "general":
-        pts = rng.standard_normal((m, d)) + shift
-    elif shape == "duplicated":
+        return rng.standard_normal((m, d)) + shift
+    if shape == "duplicated":
         distinct = rng.standard_normal((int(rng.integers(1, 4)), d)) + shift
-        pts = distinct[rng.integers(0, len(distinct), size=m)]
-    elif shape == "collinear":
-        pts = np.outer(rng.standard_normal(m), rng.standard_normal(d)) + rng.integers(2) * shift
-    else:
-        pts = rng.integers(-2, 3, size=(m, d)).astype(float)
-    return pts * 10.0**k
+        return distinct[rng.integers(0, len(distinct), size=m)]
+    if shape == "collinear":
+        return np.outer(rng.standard_normal(m), rng.standard_normal(d)) + rng.integers(2) * shift
+    return rng.integers(-2, 3, size=(m, d)).astype(float)
+
+
+SHAPES = ["general", "duplicated", "collinear", "integer"]
+
+
+@st.composite
+def _scaled_point_sets(draw):
+    """m <= 30 points in d <= 6 dimensions of one of SHAPES, scaled by 10^k
+    for k in [-8, 8]."""
+    m = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(SHAPES))
+    k = draw(st.integers(-8, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _shaped_points(rng, shape, m, d) * 10.0**k
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,13 +92,58 @@ def test_min_norm_point_certificates(pts):
 
 def test_batch_matches_single_solver():
     rng = np.random.default_rng(7)
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4, 5):
         pts = np.cumsum(rng.standard_normal((200, 6, d)), axis=1)
         inside, amb = hull.batch_origin_in_hull(pts, 1e-10)
         assert not amb.any()
         for i in range(len(pts)):
             _, _, dist = hull.min_norm_point(pts[i])
             assert inside[i] == (dist <= 1e-10)
+
+
+def _loop_origin_in_hull(points, band, closed):
+    """The per-sample decision by min_norm_point alone: the oracle of the
+    batched d >= 3 path."""
+    inside = np.zeros(len(points), dtype=bool)
+    ambiguous = np.zeros(len(points), dtype=bool)
+    for i in range(len(points)):
+        _, _, dist = hull.min_norm_point(points[i])
+        if dist <= band:
+            inside[i] = True
+        elif dist < 100.0 * band and not closed:
+            ambiguous[i] = True
+    return inside, ambiguous
+
+
+@st.composite
+def _scaled_point_stacks(draw):
+    """N <= 40 sets of m <= 30 points in d = 3..5 dimensions, each set of one
+    of SHAPES, the whole stack scaled by one 10^k for k in [-8, 8]."""
+    n = draw(st.integers(0, 40))
+    m = draw(st.integers(1, 30))
+    d = draw(st.integers(3, 5))
+    k = draw(st.integers(-8, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = [_shaped_points(rng, SHAPES[rng.integers(len(SHAPES))], m, d) for _ in range(n)]
+    return np.array(sets).reshape(n, m, d) * 10.0**k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_point_stacks(), st.sampled_from([1e-10, 1e-9]), st.booleans())
+@example(np.zeros((0, 7, 3)), 1e-10, False)
+@example(np.array([[[1.0, 2.0, -3.0]], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 5e-10]]]), 1e-10, False)
+@example(np.array([[[1.0, 2.0, -3.0]], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 5e-10]]]), 1e-9, True)
+def test_batch_matches_per_sample_loop(points, band, closed):
+    inside, ambiguous = hull.batch_origin_in_hull(points, band, closed)
+    expected = _loop_origin_in_hull(points, band, closed)
+    assert np.array_equal(inside, expected[0]) and np.array_equal(ambiguous, expected[1])
+    # the separation bound never exceeds the distance the solver finds, up to
+    # the rounding of the dot products
+    bound, reach = hull._separation_bound(points)
+    for i in range(len(points)):
+        scale = float(np.linalg.norm(points[i], axis=1).max())
+        assert reach[i] == pytest.approx(scale, rel=1e-12)
+        assert bound[i] <= hull.min_norm_point(points[i])[2] + 1e-13 * scale
 
 
 def test_batch_closed_counts_boundary():
@@ -138,6 +189,33 @@ def test_chunked_estimate_thread_independent():
     e4 = mc.run_bernoulli_chunks(samples, 5, chunk, threads=4)
     assert e1 == e4
     assert e1.estimate == pytest.approx(0.3, abs=0.01)
+
+
+def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+    workers = []
+
+    class SerialPool:
+        """Records max_workers and runs the jobs in this thread."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def chunk(rng, size):
+        return size, 0
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+    for samples, threads in ((2 * mc.CHUNK + 1, 64), (5 * mc.CHUNK, 2), (mc.CHUNK, 64), (3 * mc.CHUNK, 1)):
+        assert mc.run_bernoulli_chunks(samples, 5, chunk, threads=threads).estimate == 1.0
+    assert workers == [3, 2]
 
 
 def test_mcestimate_interface():
