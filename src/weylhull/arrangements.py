@@ -1,10 +1,11 @@
 """Central hyperplane arrangements with exact region combinatorics.
 
-Characteristic polynomials come from Whitney's subset expansion, region
-counts from the alternating evaluation at -1, and both are cross-checkable
-against sign-vector enumeration by deletion and restriction, which solves no
-LP.  Everything is integer or Fraction arithmetic; nothing here depends on
-floating point.
+Characteristic polynomials come from deletion and restriction, region counts
+from the alternating evaluation at -1, and regions themselves from
+sign-vector enumeration by the same deletion step, which solves no LP.
+Whitney's subset expansion stays as an independent, capped oracle for the
+characteristic polynomial.  Everything is integer or Fraction arithmetic;
+nothing here depends on floating point.
 """
 from __future__ import annotations
 
@@ -194,11 +195,42 @@ def intersected_region_count(chi: CharacteristicPolynomial, d: int) -> int:
     return 2 * sum(chi.a[k] for k in range(d + 1, n + 1, 2))
 
 
+def _delete_last(arr: Arrangement) -> tuple[Arrangement, tuple[int, ...], list, Arrangement | None]:
+    """One deletion step on a nonempty arrangement: the rest A', the last
+    normal h, an integer basis of the hyperplane h, and A'', the trace of A'
+    on h in that basis.  In R^1 there is no basis and no trace: h is the
+    origin."""
+    n = arr.ambient_dim
+    rest = Arrangement(n, arr.hyperplanes[:-1])
+    h = arr.hyperplanes[-1].normal
+    basis = [exactlp.primitive_row(b) for b in exactlp.integer_nullspace([h], n)]
+    trace = induced_arrangement(rest, Subspace(n, tuple(basis))) if basis else None
+    return rest, h, basis, trace
+
+
+@lru_cache(maxsize=1024)
+def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
+    """Characteristic polynomial by deletion and restriction.
+
+    chi(A) = chi(A') - chi(A''), so in unsigned coefficients
+    a_k(A) = a_k(A') + a_k(A''), with chi = t^n for the empty arrangement
+    and chi = 1 for the origin, the trace in R^1 (Zaslavsky 1975).
+    """
+    n = arr.ambient_dim
+    if arr.size == 0:
+        return CharacteristicPolynomial(n, (0,) * n + (1,))
+    rest, _, _, trace = _delete_last(arr)
+    a = list(characteristic_polynomial(rest).a)
+    for k, x in enumerate(characteristic_polynomial(trace).a if trace is not None else (1,)):
+        a[k] += x
+    return CharacteristicPolynomial(n, tuple(a))
+
+
 @lru_cache(maxsize=64)
 def enumerate_regions(arr: Arrangement) -> frozenset[tuple[int, ...]]:
     """All sign vectors of nonempty open regions, by deletion and restriction."""
     if arr.size > ENUMERATION_CAP:
-        raise CapExceededError(f"region enumeration capped at {ENUMERATION_CAP}")
+        raise CapExceededError(f"region enumeration capped at {ENUMERATION_CAP} hyperplanes")
     return frozenset(_witnesses(arr))
 
 
@@ -214,13 +246,10 @@ def _witnesses(arr: Arrangement) -> dict[tuple[int, ...], tuple[int, ...]]:
     n = arr.ambient_dim
     if arr.size == 0:
         return {(): (0,) * n}
-    rest = Arrangement(n, arr.hyperplanes[:-1])
-    h = arr.hyperplanes[-1].normal
+    rest, h, basis, trace = _delete_last(arr)
     # unsplit regions keep their witness; split ones are overwritten below
     regions = {sigma + (1 if _dot(h, w) > 0 else -1,): w for sigma, w in _witnesses(rest).items()}
-    basis = [exactlp.primitive_row(b) for b in exactlp.integer_nullspace([h], n)]
-    # in R^1 there is no basis: the trace on h is the origin alone
-    points = _witnesses(induced_arrangement(rest, Subspace(n, tuple(basis)))).values() if basis else [()]
+    points = _witnesses(trace).values() if trace is not None else [()]
     for y in points:
         x = [sum(yi * b[j] for yi, b in zip(y, basis)) for j in range(n)]
         gx = [_dot(g.normal, x) for g in rest.hyperplanes]

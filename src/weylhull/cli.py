@@ -210,10 +210,10 @@ def _cmd_arrangement(args) -> int:
         "format": args.format,
     }
     if args.action == "charpoly":
-        chi = arr_mod.whitney_characteristic_polynomial(arr)
+        chi = arr_mod.characteristic_polynomial(arr)
         result = {"a": list(chi.a), "regions": arr_mod.zaslavsky_region_count(chi)}
     elif args.action == "regions":
-        chi = arr_mod.whitney_characteristic_polynomial(arr)
+        chi = arr_mod.characteristic_polynomial(arr)
         result = {
             "zaslavsky": arr_mod.zaslavsky_region_count(chi),
             "enumerated": len(arr_mod.enumerate_regions(arr)),
@@ -221,7 +221,7 @@ def _cmd_arrangement(args) -> int:
     else:  # intersect
         if args.codim is None:
             raise SystemExit2("intersect needs --codim")
-        chi = arr_mod.whitney_characteristic_polynomial(arr)
+        chi = arr_mod.characteristic_polynomial(arr)
         config["codim"] = args.codim
         result = {"count": arr_mod.intersected_region_count(chi, args.codim)}
     _emit(config, result, args.format)

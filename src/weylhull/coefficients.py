@@ -283,16 +283,6 @@ b_row, b_prefix = TYPES["B"].row, TYPES["B"].prefix
 d_row, d_prefix = TYPES["D"].row, TYPES["D"].prefix
 
 
-def product_row(ns: tuple[int, ...]) -> CoefficientVector:
-    """Coefficients of prod_i (t+1)(t+3)...(t+2 n_i - 1): the product of the
-    type-B rows."""
-    ns = tuple(int(n) for n in ns)
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError("each n_i must be >= 1")
-    _check_cap(sum(ns))
-    return CoefficientVector(product_prefix(tuple((TYPES["B"], n) for n in ns), sum(ns)))
-
-
 def bernoulli_family_mgf(family: str, n: int, z: float) -> float:
     """E[exp(z X_n)] for the Bernoulli-sum representation, computed directly."""
     roots = np.concatenate([np.arange(r.start, r.stop, r.step, dtype=float)

@@ -16,11 +16,7 @@ from scipy.special import betainc
 
 from . import coefficients as coef
 from . import exactlp, hull, mc
-from .arrangements import (
-    WHITNEY_CAP,
-    build_reflection_arrangement,
-    whitney_characteristic_polynomial,
-)
+from .arrangements import build_reflection_arrangement, characteristic_polynomial
 
 #: relative decision band for the Crofton subspace-hit test
 _CROFTON_BAND = 1e-9
@@ -253,20 +249,10 @@ def klivans_swartz_check(kind: str, n: int) -> bool:
     """Group order times chamber volumes equals the characteristic
     coefficients of the mirror arrangement.
 
-    Up to WHITNEY_CAP mirrors the right-hand side is recomputed independently
-    through the Whitney subset sum; beyond that through the Shephard-Todd
-    count over the group, sum_w t^(dim ker(w - I)) = prod (t + r_i), which
-    reads neither the roots nor the rows.
+    The right-hand side is recomputed independently by deletion and
+    restriction, which reads the mirrors and neither the roots nor the rows.
     """
-    if n > 6:
-        raise ValueError("check supported for n <= 6")
     vols = weyl_intrinsic_volumes(kind, n)
-    arr = build_reflection_arrangement(kind, n)
-    if arr.size <= WHITNEY_CAP:
-        chi = whitney_characteristic_polynomial(arr).a
-    else:
-        eye = np.eye(n, dtype=int)
-        fixed = [n - exactlp.integer_rank((g - eye).tolist()) for g in WeylChamber(kind, n).group_elements()]
-        chi = [fixed.count(k) for k in range(n + 1)]
+    chi = characteristic_polynomial(build_reflection_arrangement(kind, n)).a
     order = coef.TYPES[kind].order(n)
     return all(chi[k] == order * vols.v[k] for k in range(n + 1))

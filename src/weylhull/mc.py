@@ -49,12 +49,16 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """threads, else WEYLHULL_THREADS, else 1; ValueError below 1."""
+    """threads, else WEYLHULL_THREADS, else 1; ValueError below 1 or for a
+    WEYLHULL_THREADS that is not an integer."""
     if threads is not None:
         return check_threads(threads)
     env = os.environ.get("WEYLHULL_THREADS")
     if env:
-        return check_threads(int(env))
+        try:
+            return check_threads(int(env))
+        except ValueError:
+            raise ValueError(f"WEYLHULL_THREADS must be an integer >= 1, got {env!r}") from None
     return 1
 
 

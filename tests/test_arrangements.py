@@ -122,6 +122,15 @@ def test_enumeration_matches_lp_and_zaslavsky(arr):
 
 
 @settings(max_examples=150, deadline=None)
+@given(_arrangements(st.integers(1, 4), st.integers(-3, 3)))
+@example(arr_mod.Arrangement(1, ()))
+@example(arr_mod.Arrangement(3, ()))
+@example(arr_mod.Arrangement(1, (arr_mod.Hyperplane((2,)),)))
+def test_deletion_restriction_matches_whitney(arr):
+    assert arr_mod.characteristic_polynomial(arr) == arr_mod.whitney_characteristic_polynomial(arr)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_open_counts_and_general_position_on_special_subspaces(data):
     # small entries make most subspaces meet some flat in excess dimension
@@ -175,6 +184,7 @@ def test_charpoly_closed_forms():
         chi = arr_mod.whitney_characteristic_polynomial(_reflection(kind, n))
         assert chi.a == expect
         assert chi.a == arr_mod.reflection_characteristic_polynomial(kind, n).a
+        assert arr_mod.characteristic_polynomial(_reflection(kind, n)) == chi
 
 
 def test_zaslavsky_matches_enumeration():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from test_cli_golden import GOLDEN
+from weylhull import arrangements as arr_mod
 from weylhull import cli, verify
 from weylhull.absorption import WalkFamily, absorption_probability
 from weylhull.coefficients import EXACT_N_CAP, b_prefix
@@ -123,10 +124,20 @@ def test_verify_times_each_criterion_on_stderr(capsys):
     assert [int(m.group(1)) for m in matches] == list(verify.SUITES["combinatorics"])
 
 
+@pytest.mark.parametrize("kind, n", [("A", 7), ("B", 5), ("D", 6)])
+def test_charpoly_and_intersect_past_the_whitney_cap(capsys, kind, n):
+    chi = arr_mod.reflection_characteristic_polynomial(kind, n)
+    code, out = run(capsys, "arrangement", "charpoly", "--type", kind, "--n", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"a": list(chi.a), "regions": arr_mod.zaslavsky_region_count(chi)}
+    code, out = run(capsys, "arrangement", "intersect", "--type", kind, "--n", str(n), "--codim", "2",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"count": arr_mod.intersected_region_count(chi, 2)}
+
+
 @pytest.mark.parametrize("argv", [
     "arrangement regions --type B --n 5",
-    "arrangement charpoly --type A --n 7",
-    "arrangement intersect --type A --n 7 --codim 2",
 ])
 def test_capped_arrangement_is_a_usage_error(capsys, argv):
     assert cli.main(argv.split()) == 2
@@ -173,6 +184,8 @@ def test_thread_count_below_one_is_a_usage_error(capsys, monkeypatch, threads, e
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    if env == "abc":
+        assert "WEYLHULL_THREADS" in captured.err
 
 
 def test_fixed_regime_without_d_is_a_usage_error(capsys):

@@ -68,7 +68,7 @@ def test_exact_cap_enforced():
 
 def test_product_row_two_walks():
     # generating product of B2 and B1 rows
-    got = coef.product_row((2, 1)).coeffs
+    got = coef.product_prefix(((coef.TYPES["B"], 2), (coef.TYPES["B"], 1)), 3)
     b2, b1 = coef.b_row(2).coeffs, coef.b_row(1).coeffs
     expect = [0] * (len(b2) + len(b1) - 1)
     for i, x in enumerate(b2):

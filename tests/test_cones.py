@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from weylhull import coefficients, cones, verify
-from weylhull.arrangements import WHITNEY_CAP
+from weylhull import coefficients, cones, exactlp, verify
+from weylhull.arrangements import build_reflection_arrangement, characteristic_polynomial
 from weylhull.coefficients import TYPES
 
 
@@ -69,12 +69,27 @@ def test_group_elements_are_the_whole_reflection_group(kind):
         assert set(np.unique(g)) <= {-1, 0, 1}
 
 
-def test_klivans_swartz_fails_against_a_wrong_whitney_sum(monkeypatch):
-    # every line of criterion 5 must rest on the independent Whitney side
-    monkeypatch.setattr(cones, "whitney_characteristic_polynomial",
+def shephard_todd_coefficients(kind, n):
+    """Unsigned characteristic coefficients of the mirror arrangement from the
+    group alone: sum over w of t^(dim ker(w - I)) = prod (t + r_i)."""
+    eye = np.eye(n, dtype=int)
+    fixed = [n - exactlp.integer_rank((g - eye).tolist()) for g in cones.WeylChamber(kind, n).group_elements()]
+    return tuple(fixed.count(k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_deletion_restriction_matches_the_group_count(kind):
+    for n in range(TYPES[kind].chamber_min_n, 6):
+        chi = characteristic_polynomial(build_reflection_arrangement(kind, n))
+        assert chi.a == shephard_todd_coefficients(kind, n)
+
+
+def test_klivans_swartz_fails_against_a_wrong_characteristic_polynomial(monkeypatch):
+    # every line of criterion 5 must rest on the independent deletion-restriction side
+    monkeypatch.setattr(cones, "characteristic_polynomial",
                         lambda arr: SimpleNamespace(a=(0,) * (arr.ambient_dim + 1)))
     results = verify.check_klivans_swartz()
-    assert results and not any(r.passed for r in results)
+    assert len(results) == 16 and not any(r.passed for r in results)
 
 
 def _projection_oracle(chamber, y):
@@ -186,8 +201,9 @@ def test_klivans_swartz_small():
 
 def test_klivans_swartz_fails_against_a_wrong_row_above_the_whitney_cap(monkeypatch):
     # swapping two same-parity coefficients keeps the row's sum and its
-    # even/odd split, so every validation passes; only the group count can
-    # catch it for B5 and D6, whose mirrors exceed the Whitney cap
+    # even/odd split, so every validation passes; only the characteristic
+    # polynomial of the mirrors can catch it for B5 and D6, whose mirrors
+    # exceed the Whitney cap
     real = coefficients.product_prefix
 
     def swapped(factors, kmax):
@@ -197,7 +213,6 @@ def test_klivans_swartz_fails_against_a_wrong_row_above_the_whitney_cap(monkeypa
 
     monkeypatch.setattr(coefficients, "product_prefix", swapped)
     for kind, n in [("B", 5), ("D", 6)]:
-        assert len(TYPES[kind].mirrors(n)) > WHITNEY_CAP
         assert not cones.klivans_swartz_check(kind, n)
 
 
