@@ -109,16 +109,21 @@ class CharacteristicPolynomial:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace given by an exact rational basis (columns)."""
+    """A linear subspace given by an exact rational basis (columns).
+
+    Each basis vector is stored scaled to coprime integers: the span is the
+    same, every count here is invariant under positive rescaling of the
+    basis, and the traces stay in integer arithmetic.
+    """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]  # each entry one basis vector
+    basis: tuple[tuple[int, ...], ...]  # each entry one basis vector
 
     def __post_init__(self):
-        vecs = tuple(tuple(Fraction(x) for x in v) for v in self.basis)
+        vecs = tuple(tuple(exactlp.primitive_row(v)) for v in self.basis)
         if not vecs or any(len(v) != self.ambient_dim for v in vecs):
             raise ValueError("basis vectors must match ambient dimension")
-        if exactlp.fraction_rank(vecs) != len(vecs):
+        if exactlp.integer_rank(vecs) != len(vecs):
             raise ValueError("basis is linearly dependent")
         object.__setattr__(self, "basis", vecs)
 
@@ -272,7 +277,7 @@ class SubspaceMeetCount:
     mode: str
 
 
-def _traces(arr: Arrangement, sub: Subspace) -> list[tuple[Fraction, ...]]:
+def _traces(arr: Arrangement, sub: Subspace) -> list[tuple[int, ...]]:
     """Each normal restricted to the subspace, in basis coordinates."""
     return [tuple(_dot(h.normal, b) for b in sub.basis) for h in arr.hyperplanes]
 

@@ -242,7 +242,7 @@ def _cmd_cone(args) -> int:
         grid = np.linspace(0.0, 1.0, args.grid)
         config["grid"] = args.grid
         rows = [["lambda", "cdf"]]
-        rows += [[f"{x:.6f}", f"{cones.steiner_tail_cdf(v, float(x)):.10f}"] for x in grid]
+        rows += [[f"{x:.6f}", f"{c:.10f}"] for x, c in zip(grid, cones.steiner_tail_cdf(v, grid))]
         result = {r[0]: r[1] for r in rows[1:]}
         _emit(config, result, args.format, csv_rows=rows)
         return 0

@@ -2,7 +2,8 @@
 
 Exact volumes come straight from the coefficient families; the Steiner and
 Crofton formulas are implemented as Monte Carlo verifiers so the exact
-values can be tested against geometry instead of against themselves.
+values can be tested against geometry instead of against themselves.  The
+Steiner check projects and evaluates whole arrays of points at once.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 from scipy.special import betainc
 
 from . import coefficients as coef
@@ -124,8 +124,9 @@ def half_tail(v: IntrinsicVolumeVector, k: int) -> Fraction:
     return sum(v.v[k::2], Fraction(0))
 
 
-def steiner_tail_cdf(v: IntrinsicVolumeVector, lam: float) -> float:
-    """P[dist^2(theta, C) <= lam] for theta uniform on the sphere.
+def steiner_tail_cdf(v: IntrinsicVolumeVector, lam: float | np.ndarray) -> float | np.ndarray:
+    """P[dist^2(theta, C) <= lam] for theta uniform on the sphere, at a
+    scalar lam (a float back) or at each entry of an array.
 
     Beta mixture over the intrinsic volumes: conditioned on the projection
     landing on a k-dimensional part, the squared distance splits the unit
@@ -133,58 +134,83 @@ def steiner_tail_cdf(v: IntrinsicVolumeVector, lam: float) -> float:
     k = n term is the unit step at 0 (points inside the cone stay put) and
     the k = 0 term is the unit step at 1 (points projecting to the apex).
     """
-    if not 0.0 <= lam <= 1.0:
+    x = np.asarray(lam, dtype=float)
+    # NaN fails both comparisons, so it is rejected too
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("lambda must lie in [0, 1]")
     n = v.n
-    total = float(v.v[n])
-    if lam >= 1.0:
-        total += float(v.v[0])
+    total = float(v.v[n]) + np.where(x >= 1.0, float(v.v[0]), 0.0)
     for k in range(1, n):
         if v.v[k] == 0:
             continue
-        total += float(v.v[k]) * float(betainc((n - k) / 2.0, k / 2.0, lam))
-    return total
+        total += float(v.v[k]) * betainc((n - k) / 2.0, k / 2.0, x)
+    return float(total) if total.ndim == 0 else total
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance between an empirical sample and a CDF
-    that may carry atoms (the sup is taken over both one-sided limits)."""
+    that may carry atoms (the sup is taken over both one-sided limits); cdf
+    maps an array of points to an array of values and is called twice."""
     xs = np.sort(np.asarray(samples, dtype=float))
     uniq, first = np.unique(xs, return_index=True)
     counts = np.diff(np.append(first, len(xs)))
     hi = np.cumsum(counts) / len(xs)
     lo = first / len(xs)
-    th = np.array([cdf(x) for x in uniq])
-    th_left = np.array([cdf(max(x - 1e-12, 0.0)) if x > 0 else 0.0 for x in uniq])
+    th = cdf(uniq)
+    th_left = np.where(uniq > 0, cdf(np.maximum(uniq - 1e-12, 0.0)), 0.0)
     return float(max(np.abs(th - hi).max(), np.abs(th_left - lo).max()))
 
 
-def _project_nonnegative_monotone(y: np.ndarray) -> np.ndarray:
-    # the B chamber: nonnegative isotonic regression, pool first, clamp after
-    return np.maximum(isotonic_regression(y).x, 0.0)
+#: floats per (rows, n, n) temporary of the projection; a chunk of mc.CHUNK
+#: rows fits in one block up to n = 8
+_PROJECTION_BLOCK = 1 << 20
 
 
-def project_onto_weyl_chamber(chamber: WeylChamber, x: Sequence[float]) -> tuple[np.ndarray, float]:
-    """Euclidean projection onto the closed chamber and squared distance."""
+def _isotonic_rows(y: np.ndarray) -> np.ndarray:
+    # p_k = max_{i <= k} min_{j >= k} mean(y_i..y_j): block means from prefix
+    # sums, then a suffix minimum over j and a prefix maximum over i.  Entry
+    # (k, k) has then seen exactly i <= k and j >= k, so the entries with
+    # j < i, divided by 1 to stay finite, never reach it
+    n = y.shape[1]
+    s = np.cumsum(np.pad(y, ((0, 0), (1, 0))), axis=1)
+    k = np.arange(n)
+    means = (s[:, None, 1:] - s[:, :-1, None]) / np.maximum(k - k[:, None] + 1, 1)
+    means = np.minimum.accumulate(means[:, :, ::-1], axis=2)[:, :, ::-1]
+    return np.maximum.accumulate(means, axis=1)[:, k, k]
+
+
+def project_onto_weyl_chamber(
+    chamber: WeylChamber, x: Sequence[float] | np.ndarray
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Euclidean projection onto the closed chamber and squared distance,
+    for a point (n,) or for each row of a stack (N, n).
+
+    The A chamber's projection is the isotonic regression, in its closed
+    min-max form (Barlow, Bartholomew, Bremner and Brunk 1972); B clamps it
+    at 0.  A point returns (p, float), a stack (P, dsq) with dsq of shape
+    (N,); a point equals its row of a stack bit for bit.
+    """
     y = np.asarray(x, dtype=float)
-    if y.shape != (chamber.n,):
+    if y.shape[-1:] != (chamber.n,) or y.ndim > 2:
         raise ValueError("dimension mismatch")
-    if chamber.kind == "A":
-        p = isotonic_regression(y).x
-    elif chamber.kind == "B":
-        p = _project_nonnegative_monotone(y)
-    else:
-        # the D chamber |x_1| <= x_2 <= ... <= x_n is the B chamber together
-        # with its mirror image under x_1 -> -x_1, so the projection is the
-        # nearer of the two clamped isotonic projections.  That is the one on
-        # y_1's side: the flip maps D onto itself, and a point of D across
-        # from y_1 is farther from y than its own mirror image.  Choosing by
-        # sign avoids comparing two nearly equal distances in floating point
-        flip = np.ones(chamber.n)
-        if y[0] < 0.0:
-            flip[0] = -1.0
-        p = flip * _project_nonnegative_monotone(flip * y)
-    return p, float(np.sum((y - p) ** 2))
+    rows = y.reshape(-1, chamber.n)
+    # the D chamber |x_1| <= x_2 <= ... <= x_n is the B chamber together
+    # with its mirror image under x_1 -> -x_1, so the projection is the
+    # nearer of the two clamped isotonic projections.  That is the one on
+    # y_1's side: the flip maps D onto itself, and a point of D across
+    # from y_1 is farther from y than its own mirror image.  Choosing by
+    # sign avoids comparing two nearly equal distances in floating point
+    flip = np.ones_like(rows)
+    if chamber.kind == "D":
+        flip[rows[:, 0] < 0.0, 0] = -1.0
+    z, p = flip * rows, np.empty_like(rows)
+    step = max(1, _PROJECTION_BLOCK // chamber.n**2)
+    for i in range(0, len(rows), step):
+        p[i : i + step] = _isotonic_rows(z[i : i + step])
+    if chamber.kind != "A":
+        p = flip * np.maximum(p, 0.0)
+    dsq = np.sum((rows - p) ** 2, axis=1)
+    return (p[0], float(dsq[0])) if y.ndim == 1 else (p, dsq)
 
 
 def crofton_mc_estimate(
@@ -239,10 +265,9 @@ def sample_sphere_distances(
     def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         g = rng.standard_normal((size, chamber.n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return np.fromiter((project_onto_weyl_chamber(chamber, y)[1] for y in g), float, size)
+        return project_onto_weyl_chamber(chamber, g)[1]
 
-    # one thread: the per-sample projections hold the interpreter lock
-    return np.concatenate(mc.run_chunks(samples, seed, chunk, threads=1))
+    return np.concatenate(mc.run_chunks(samples, seed, chunk))
 
 
 def klivans_swartz_check(kind: str, n: int) -> bool:

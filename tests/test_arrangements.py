@@ -264,6 +264,29 @@ def test_count_regions_meeting_subspace_closed_mode():
     assert closed_count.count >= open_count.count
 
 
+def test_subspace_basis_is_stored_as_primitive_integers():
+    # a Fraction basis and its twin scaled by positive integers describe the
+    # same subspace, so every count and verdict must agree
+    rng = np.random.default_rng(8)
+    cases = [(_reflection("B", 3), ((Fraction(1, 2), Fraction(2, 3), 0), (0, Fraction(-3, 4), 1))),
+             (_reflection("B", 2), ((Fraction(1, 3), Fraction(1, 3)),))]  # inside a mirror
+    for kind, n, dim in [("A", 4, 2), ("D", 4, 3), ("B", 3, 1)]:
+        rows = tuple(tuple(Fraction(int(p), int(q)) for p, q in zip(rng.integers(-3, 4, n), rng.integers(1, 5, n)))
+                     for _ in range(dim))
+        cases.append((_reflection(kind, n), rows))
+    for arr, rows in cases:
+        scale = math.lcm(*(x.denominator for row in rows for x in map(Fraction, row)))
+        twin = tuple(tuple(int(Fraction(x) * scale * (i + 2)) for x in row) for i, row in enumerate(rows))
+        sub, sub_twin = (arr_mod.Subspace(arr.ambient_dim, b) for b in (rows, twin))
+        assert all(type(x) is int for row in sub.basis for x in row)
+        for mode in ("open", "closed"):
+            assert (arr_mod.count_regions_meeting_subspace(arr, sub, mode)
+                    == arr_mod.count_regions_meeting_subspace(arr, sub_twin, mode))
+        assert arr_mod.is_general_position(arr, sub) == arr_mod.is_general_position(arr, sub_twin)
+    mirror = arr_mod.Subspace(2, cases[1][1])
+    assert not arr_mod.is_general_position(cases[1][0], mirror)
+
+
 def test_general_position_detection():
     arr = _reflection("B", 2)
     generic = arr_mod.Subspace(2, ((Fraction(2), Fraction(1)),))

@@ -65,6 +65,11 @@ GOLDEN = [
      "7f2ebcd570c91d05bc9b12f3ebe202fe63504b96da61faec667d7a4587f5e4da"),
     ("verify --suite arrangements --format json",
      "b2414c7767ffc809ebfbcd7a5d03666c42e7d979296923c99010311418990d77"),
+    # criteria 5, 9 and 10: deletion and restriction on integer subspace
+    # bases, Crofton, and Steiner's batched projection and array CDF; the
+    # timings go to stderr
+    ("verify --suite conic --format json",
+     "d1754f3bc5a47a0acef61f1b086d7ffff3c206f417f5aac95a3504af15222a20"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import isotonic_regression, nnls
+from scipy.special import betainc
 
 from weylhull import coefficients, cones, exactlp, verify
 from weylhull.arrangements import build_reflection_arrangement, characteristic_polynomial
@@ -133,6 +135,65 @@ def test_projection_is_the_moreau_decomposition(kind, n, data):
     assert dsq == pytest.approx(float(residual @ residual), abs=1e-12 * max(size, 1.0) ** 2)
 
 
+def _isotonic_oracle(kind, y):
+    # SciPy's pool-adjacent-violators isotonic regression, clamped at 0 for
+    # B and D, and for D taken on y_1's side of the mirror x_1 = 0
+    if kind == "A":
+        return isotonic_regression(y).x
+    flip = np.ones(len(y))
+    if kind == "D" and y[0] < 0.0:
+        flip[0] = -1.0
+    return flip * np.maximum(isotonic_regression(flip * y).x, 0.0)
+
+
+def _assert_rows_match_oracle(kind, ys):
+    ch = cones.WeylChamber(kind, ys.shape[1])
+    p, dsq = cones.project_onto_weyl_chamber(ch, ys)
+    assert p.shape == ys.shape and dsq.shape == (len(ys),)
+    for y, row, d in zip(ys, p, dsq):
+        scale = max(1.0, float(np.abs(y).max()))
+        assert np.allclose(row, _isotonic_oracle(kind, y), rtol=0, atol=1e-12 * scale)
+        assert d == float(np.sum((y - row) ** 2))
+    return ch, p, dsq
+
+
+@pytest.mark.parametrize("kind", "ABD")
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_projection_matches_the_isotonic_oracle(kind, data):
+    n = data.draw(st.integers(TYPES[kind].chamber_min_n, 8))
+    # small integers give exact ties and zero rows, floats the generic case
+    coords = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+    rows = data.draw(st.lists(st.one_of(st.just([0.0] * n), st.lists(coords, min_size=n, max_size=n)),
+                              min_size=1, max_size=50))
+    ys = np.array(rows)
+    ch, p, dsq = _assert_rows_match_oracle(kind, ys)
+    for y, row, d in zip(ys, p, dsq):
+        one, d1 = cones.project_onto_weyl_chamber(ch, y)
+        assert np.array_equal(one, row) and type(d1) is float and d1 == d
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_wide_stack_is_projected_in_blocks(kind):
+    # 64^2 floats per row put the 300 rows in several blocks
+    ys = np.random.default_rng(5).standard_normal((300, 64))
+    assert 300 * 64**2 > cones._PROJECTION_BLOCK
+    _assert_rows_match_oracle(kind, ys)
+
+
+def test_projection_memory_is_bounded():
+    # unblocked, each (2048, 64, 64) temporary would take about 67 MB
+    ys = np.random.default_rng(6).standard_normal((2048, 64))
+    ch = cones.WeylChamber("B", 64)
+    tracemalloc.start()
+    try:
+        cones.project_onto_weyl_chamber(ch, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
 def test_steiner_cdf_endpoints_and_monotone():
     for kind, n in [("B", 3), ("A", 3), ("D", 3)]:
         v = cones.weyl_intrinsic_volumes(kind, n)
@@ -150,12 +211,41 @@ def test_steiner_arcsine_sector():
     assert got == pytest.approx(1 / 8 + math.asin(math.sqrt(0.5)) / math.pi)
 
 
+def _steiner_cdf_loop(v, lam):
+    # the Beta mixture at one point, summed in Python floats in order of k
+    n = v.n
+    total = float(v.v[n]) + (float(v.v[0]) if lam >= 1.0 else 0.0)
+    for k in range(1, n):
+        if v.v[k]:
+            total += float(v.v[k]) * float(betainc((n - k) / 2.0, k / 2.0, lam))
+    return total
+
+
+def test_steiner_cdf_on_an_array_is_the_scalar_loop():
+    grid = np.linspace(0.0, 1.0, 1001)
+    for kind, n in [("D", 4), ("B", 7), ("A", 6), ("B", 1)]:
+        v = cones.weyl_intrinsic_volumes(kind, n)
+        loop = [_steiner_cdf_loop(v, float(x)) for x in grid]
+        scalar = [cones.steiner_tail_cdf(v, float(x)) for x in grid]
+        assert all(type(c) is float for c in scalar) and scalar == loop
+        assert np.array_equal(cones.steiner_tail_cdf(v, grid), loop)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+def test_steiner_cdf_rejects_lambda_outside_the_unit_interval(bad):
+    v = cones.weyl_intrinsic_volumes("B", 3)
+    with pytest.raises(ValueError):
+        cones.steiner_tail_cdf(v, np.array([0.0, 0.5, bad, 1.0]))
+    with pytest.raises(ValueError):
+        cones.steiner_tail_cdf(v, bad)
+
+
 def test_ks_statistic_handles_atoms():
     # sample exactly from a half-atom distribution
     samples = np.array([0.0] * 500 + [1.0] * 500)
 
     def cdf(x):
-        return 0.5 if x < 1.0 else 1.0
+        return np.where(x < 1.0, 0.5, 1.0)
 
     assert cones.ks_statistic(samples, cdf) < 1e-12
 
