@@ -208,7 +208,7 @@ def _delete_last(arr: Arrangement) -> tuple[Arrangement, tuple[int, ...], list, 
     n = arr.ambient_dim
     rest = Arrangement(n, arr.hyperplanes[:-1])
     h = arr.hyperplanes[-1].normal
-    basis = [exactlp.primitive_row(b) for b in exactlp.integer_nullspace([h], n)]
+    basis = exactlp.integer_nullspace([h], n)
     trace = induced_arrangement(rest, Subspace(n, tuple(basis))) if basis else None
     return rest, h, basis, trace
 
@@ -288,7 +288,7 @@ def is_general_position(arr: Arrangement, sub: Subspace) -> bool:
     traces.  Smaller independent sets extend to k normals (matroid
     augmentation), so checking the k-subsets suffices."""
     normals = [h.normal for h in arr.hyperplanes]
-    traces = [exactlp.primitive_row(p) for p in _traces(arr, sub)]
+    traces = _traces(arr, sub)
     k = min(sub.dim, exactlp.integer_rank(normals))
     for subset in itertools.combinations(range(len(normals)), k):
         if (exactlp.integer_rank([normals[i] for i in subset]) == k
@@ -304,8 +304,11 @@ def count_regions_meeting_subspace(
     meeting L outside the origin (closed mode).
 
     Open mode counts the regions of the trace arrangement on L, unless some
-    hyperplane contains L: then L misses every open region.  Closed mode asks
-    one exact LP per region.
+    hyperplane contains L: then L misses every open region.  Closed mode
+    finds the lines on which dim L - 1 independent traces vanish, once: a
+    closed region meets L outside the origin exactly when it holds one of
+    them (its extreme rays lie on such lines), or every region does when the
+    traces have rank below dim L.
     """
     if mode not in ("open", "closed"):
         raise ValueError("mode must be 'open' or 'closed'")
@@ -316,8 +319,14 @@ def count_regions_meeting_subspace(
     projected = _traces(arr, sub)
     if mode == "open":
         count = len(enumerate_regions(induced_arrangement(arr, sub))) if all(map(any, projected)) else 0
+    elif exactlp.integer_rank(projected) < sub.dim:
+        # every closed region holds the traces' common kernel
+        count = len(enumerate_regions(arr))
     else:
-        count = sum(exactlp.cone_is_nontrivial([[s * x for x in p] for s, p in zip(sigma, projected)], sub.dim)
+        # sigma holds the line through v when sigma agrees in sign with v's
+        # sign vector or with its negative
+        patterns = [exactlp.signs(projected, v) for v in exactlp.lines(projected, sub.dim)]
+        count = sum(any(not {1, -1} <= {a * b for a, b in zip(sigma, p)} for p in patterns)
                     for sigma in enumerate_regions(arr))
     return SubspaceMeetCount(count, is_general_position(arr, sub), mode)
 

@@ -84,14 +84,13 @@ class WeylChamber:
         cols = []
         for j in reversed(range(len(walls))):
             (g,) = exactlp.integer_nullspace(rows[:j] + rows[j + 1 :], self.n)
-            g = exactlp.primitive_row(g)
             cols.append(g if np.dot(walls[j], g) > 0 else [-x for x in g])
         return np.array(cols, dtype=float).T
 
     def lineality(self) -> np.ndarray | None:
         """The direction spanning the lineality line, if any: the walls' kernel."""
         kernel = exactlp.integer_nullspace(coef.TYPES[self.kind].walls(self.n), self.n)
-        return np.array(exactlp.primitive_row(kernel[0]), dtype=float) if kernel else None
+        return np.array(kernel[0], dtype=float) if kernel else None
 
     def group_elements(self) -> np.ndarray:
         """The group as (order, n, n) integer matrices, generated by the wall reflections."""

@@ -1,21 +1,18 @@
-"""Exact rational linear algebra and a small simplex solver.
+"""Exact integer linear algebra and the closed cone test.
 
-All region, cone and hull oracles in this package reduce to feasibility
-questions of the form "maximize a slack margin subject to linear
-inequalities".  Solving them on integer rows, scaled from the exact rational
-input, removes every tolerance question: an open region either admits
-margin 1 or margin 0, never 10^-9.
+Ranks, kernels and the Whitney sum share one fraction-free elimination on
+integer rows, scaled from the exact rational input, so no question here has
+a tolerance.  Whether a closed cone {x : row.x >= 0} holds a nonzero point
+is decided without optimisation: a pointed cone other than {0} has an
+extreme ray, and every extreme ray is one of the finitely many lines on
+which dim - 1 independent rows vanish (Minkowski-Weyl).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Sequence
-
-
-class UnboundedError(Exception):
-    """The LP objective is unbounded above (a formulation bug here)."""
 
 
 def reduce_row(echelon: list, v: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
@@ -65,100 +62,55 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_echelon(rows))
 
 
-def fraction_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix (clears denominators row by row)."""
-    return integer_rank([primitive_row(r) for r in rows])
-
-
-def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of an integer matrix, one vector per non-pivot column:
-    1 there and 0 at the other non-pivot columns, as read off the reduced
-    row echelon form."""
+def integer_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Kernel basis of an integer matrix, one primitive integer vector per
+    non-pivot column: positive there and 0 at the other non-pivot columns,
+    the reduced row echelon form's vector scaled to coprime integers."""
     echelon = _echelon(rows)
     pivots = {col for col, _ in echelon}
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
+        x = [0] * ncols
+        x[free] = 1
         # each row is zero at the pivots of the rows before it, so solving
-        # from the last row back fixes one pivot coordinate per row
+        # from the last row back fixes one pivot coordinate per row; scaling
+        # x by |a| / gcd(s, a) first makes the division exact and keeps the
+        # entries coprime
         for col, row in reversed(echelon):
-            x[col] = -sum(a * b for a, b in zip(row, x)) / row[col]
+            s = sum(a * b for a, b in zip(row, x))
+            a = row[col]
+            g = math.gcd(s, a)
+            x = [v * (abs(a) // g) for v in x]
+            x[col] = -s // g if a > 0 else s // g
         basis.append(x)
     return basis
 
 
-def simplex_max(c: Sequence, a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, list[Fraction]]:
-    """Maximize c.x subject to a.x <= b, x >= 0, with b >= 0.
-
-    Returns (optimum, x).  Uses Bland's rule, so it terminates on any input;
-    raises UnboundedError if the objective is unbounded.
-
-    Tableau rows are coprime integer vectors, [a_i | e_i | b_i | 0] and the
-    objective [c | 0 | 0 | 1] with its positive scale last.  Pivots clear the
-    entering column with reduce_row, so each row stays a positive multiple of
-    the Fraction tableau's row, with the same signs, ratios and pivots.
-    """
-    m, n = len(a), len(c)
-    if any(bi < 0 for bi in b):
-        raise ValueError("simplex_max requires b >= 0")
-    rhs = n + m
-    tab = [primitive_row([*a[i], *(int(i == j) for j in range(m)), b[i], 0]) for i in range(m)]
-    cost = primitive_row([*c, *[0] * (m + 1), 1])
-    basis = list(range(n, n + m))
-    while True:
-        enter = next((j for j in range(rhs) if cost[j] > 0), None)
-        if enter is None:
-            break
-        eligible = [i for i, row in enumerate(tab) if row[enter] > 0]
-        if not eligible:
-            raise UnboundedError("unbounded objective")
-        # least ratio rhs / entry, compared by cross-multiplication over the
-        # positive entries; ties go to the least basic variable
-        leave = min(eligible, key=cmp_to_key(
-            lambda i, k: tab[i][rhs] * tab[k][enter] - tab[k][rhs] * tab[i][enter] or basis[i] - basis[k]))
-        pivot = [(enter, tab[leave])]
-        for i, row in enumerate(tab):
-            if i != leave and row[enter]:
-                tab[i] = reduce_row(pivot, row)[1]
-        cost = reduce_row(pivot, cost)[1]
-        basis[leave] = enter
-    x = [Fraction(0)] * n
-    for row, j in zip(tab, basis):
-        if j < n:
-            x[j] = Fraction(row[rhs], row[j])
-    return Fraction(-cost[rhs], cost[-1]), x
+def lines(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
+    """The lines on which dim - 1 independent integer rows vanish, each once,
+    as the primitive vector integer_nullspace gives it."""
+    found = {}
+    for subset in itertools.combinations(rows, dim - 1):
+        kernel = integer_nullspace(subset, dim)
+        if len(kernel) == 1:
+            found[tuple(kernel[0])] = None
+    return list(found)
 
 
-def _max_margin(rows: Sequence, margins: Sequence[int], dim: int) -> tuple[Fraction, list[Fraction]]:
-    """Maximize t subject to row.x >= margin * t for each row and t <= 1,
-    over free x written as x+ - x-; returns (optimum, [x+, x-, t])."""
-    a = [[-x for x in r] + list(r) + [m] for r, m in zip(rows, margins)]
-    a.append([0] * (2 * dim) + [1])
-    return simplex_max([0] * (2 * dim) + [1], a, [0] * len(rows) + [1])
-
-
-def open_cone_point(rows: Sequence[Sequence], dim: int) -> list[Fraction] | None:
-    """A point x with row.x > 0 for every row, or None if none exists.
-
-    Decided by maximizing t subject to row.x >= t, t <= 1: the optimum is 1
-    exactly when the open cone is nonempty (scale any strict point), else 0.
-    """
-    opt, x = _max_margin(rows, [1] * len(rows), dim)
-    if opt <= 0:
-        return None
-    return [x[i] - x[dim + i] for i in range(dim)]
+def signs(rows: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    """The sign of row.v for each row."""
+    dots = (sum(a * b for a, b in zip(r, v)) for r in rows)
+    return tuple((s > 0) - (s < 0) for s in dots)
 
 
 def cone_is_nontrivial(rows: Sequence[Sequence], dim: int) -> bool:
     """Whether {x : row.x >= 0 for all rows} contains a nonzero point."""
-    # positive scaling leaves the cone as it is and makes the row sum exact
+    # positive scaling leaves the cone as it is and makes the rows integral
     rows = [primitive_row(r) for r in rows]
     if integer_rank(rows) < dim:
         return True
-    # kernel trivial: ask for a point with row sums bounded away from zero
-    total = [sum(col) for col in zip(*rows)]
-    opt, _ = _max_margin(rows + [total], [0] * len(rows) + [1], dim)
-    return opt > 0
+    # the cone is pointed: it is nontrivial exactly when v or -v lies in it
+    # for one of the lines its extreme rays would span
+    return any(not {1, -1} <= set(signs(rows, v)) for v in lines(rows, dim))

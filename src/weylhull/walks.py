@@ -1,5 +1,5 @@
-"""Walk and bridge sampling, hull membership with certificates, Monte Carlo
-absorption estimates, and the per-sample kernel-chamber count.
+"""Walk and bridge sampling, Monte Carlo absorption estimates, and the
+per-sample kernel-chamber count, exact for integer increments.
 
 The sampling models are chosen to exercise the distribution-free claim: the
 exact absorption probabilities depend only on (symmetry type, n, d), so
@@ -100,56 +100,8 @@ def make_bridge(increments: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HullMembership:
-    """Origin-in-hull verdict with a checkable certificate.
-
-    inside carries convex coefficients lam (sum 1, nonnegative, with
-    lam @ points within the tolerance of 0); outside carries a unit vector u
-    with min_i <u, S_i> > 0.  boundary_ambiguous flags distances inside the
-    (tol, 100 tol) band, where neither certificate is trustworthy.
-    """
-
-    inside: bool
-    certificate_kind: str  # "convex" or "separator"
-    certificate: np.ndarray
-    boundary_ambiguous: bool
-    distance: float
-
-
 def _is_integral(pts: np.ndarray) -> bool:
     return bool(np.all(pts == np.round(pts)) and np.all(np.abs(pts) < 2**52))
-
-
-def origin_in_hull(points, tol: float = DEFAULT_TOL) -> HullMembership:
-    """Membership of the origin in the convex hull of the given points.
-
-    Numeric path: min-norm point, inside iff distance <= tol.  Integer
-    inputs take an exact rational LP path instead, so lattice walks get
-    boundary cases right (closed-hull semantics, never ambiguous).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise ValueError("need at least one point")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    m, d = pts.shape
-    if _is_integral(pts):
-        # a u with u.p > 0 for every point p separates the origin from the hull
-        u = exactlp.open_cone_point(pts.astype(int).tolist(), d)
-        if u is not None:
-            u = np.array([float(x) for x in u])
-            u /= np.linalg.norm(u)
-            return HullMembership(False, "separator", u, False, float("nan"))
-        _, lam, _ = hull.min_norm_point(pts)
-        return HullMembership(True, "convex", lam, False, 0.0)
-    x, lam, dist = hull.min_norm_point(pts)
-    if dist <= tol:
-        return HullMembership(True, "convex", lam, False, dist)
-    u = x / dist
-    return HullMembership(False, "separator", u, tol < dist < 100.0 * tol, dist)
 
 
 def _point_sets(family: WalkFamily, inc: np.ndarray) -> np.ndarray:

@@ -70,6 +70,10 @@ GOLDEN = [
     # timings go to stderr
     ("verify --suite conic --format json",
      "d1754f3bc5a47a0acef61f1b086d7ffff3c206f417f5aac95a3504af15222a20"),
+    # criteria 6-8: kernel-chamber counts, whose ambiguous samples go to the
+    # exact cone test, and the batched hull estimates
+    ("verify --suite simulation --format json",
+     "499e468d882805773fc2817165dd8b7d7c9859ac0fbe0492af9e1e8b7f62b937"),
 ]
 
 

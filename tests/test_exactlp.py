@@ -1,53 +1,17 @@
+import itertools
+import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylhull import exactlp
 
+import lp_oracle
+
 
 def F(x):
     return Fraction(x)
-
-
-def _reference_simplex_max(c, a, b):
-    """Gauss-Jordan simplex over Fraction with Bland's rule: the oracle for
-    the integer-tableau simplex_max, which must pivot the same way."""
-    m, n = len(a), len(c)
-    tab = [[Fraction(x) for x in a[i]] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(b[i])]
-           for i in range(m)]
-    cost = [Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
-    basis = list(range(n, n + m))
-    while True:
-        enter = next((j for j in range(n + m) if cost[j] > 0), None)
-        if enter is None:
-            break
-        leave, best = None, None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave is None:
-            raise exactlp.UnboundedError("unbounded objective")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tab[leave])]
-        basis[leave] = enter
-    x = [Fraction(0)] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = tab[i][-1]
-    return -cost[-1], x
-
-
-_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 def test_integer_rank():
@@ -58,51 +22,8 @@ def test_integer_rank():
 
 def test_fraction_rank_and_nullity():
     rows = [[F(1) / 2, F(1) / 3], [F(1), F(2) / 3]]
-    assert exactlp.fraction_rank(rows) == 1
+    assert exactlp.integer_rank([exactlp.primitive_row(r) for r in rows]) == 1
     assert len(exactlp.integer_nullspace([exactlp.primitive_row(r) for r in rows], 2)) == 1
-
-
-def test_simplex_known_optimum():
-    # max x + y st x <= 2, y <= 3, x + y <= 4
-    opt, x = exactlp.simplex_max(
-        [F(1), F(1)],
-        [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
-        [F(2), F(3), F(4)],
-    )
-    assert opt == 4
-    assert sum(x) == 4
-
-
-def test_simplex_degenerate_tie_follows_blands_rule():
-    # two rows tie at ratio 0; letting the greater basic variable leave
-    # instead ends at another optimal vertex, (0, 1, 1/2)
-    c, a, b = [1, 2, -2], [[2, -1, 1], [2, 1, -2], [-2, 2, 0]], [0, 0, 2]
-    expected = (F(1), [Fraction(1, 5), Fraction(6, 5), Fraction(4, 5)])
-    assert _reference_simplex_max(c, a, b) == expected
-    assert exactlp.simplex_max(c, a, b) == expected
-
-
-def test_simplex_unbounded():
-    with pytest.raises(exactlp.UnboundedError):
-        exactlp.simplex_max([F(1)], [[F(-1)]], [F(1)])
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_simplex_matches_fraction_reference(data):
-    n = data.draw(st.integers(1, 4))
-    m = data.draw(st.integers(0, 5))
-    c = data.draw(st.lists(_rational, min_size=n, max_size=n))
-    a = data.draw(st.lists(st.lists(_rational, min_size=n, max_size=n), min_size=m, max_size=m))
-    # zeros in b make degenerate pivots, where Bland's tie-break matters
-    b = data.draw(st.lists(st.sampled_from([0, 0, 1]) | _rational.map(abs), min_size=m, max_size=m))
-    try:
-        expected = _reference_simplex_max(c, a, b)
-    except exactlp.UnboundedError:
-        with pytest.raises(exactlp.UnboundedError):
-            exactlp.simplex_max(c, a, b)
-    else:
-        assert exactlp.simplex_max(c, a, b) == expected
 
 
 def _satisfies_strictly(point, rows):
@@ -110,25 +31,31 @@ def _satisfies_strictly(point, rows):
 
 
 def test_open_cone_point():
-    point = exactlp.open_cone_point([[F(1), F(0)], [F(0), F(1)]], 2)
+    point = lp_oracle.open_cone_point([[F(1), F(0)], [F(0), F(1)]], 2)
     assert point is not None and all(x > 0 for x in point)
-    assert exactlp.open_cone_point([[F(1)], [F(-1)]], 1) is None
+    assert lp_oracle.open_cone_point([[F(1)], [F(-1)]], 1) is None
 
 
 def test_separating_direction_certifies():
     # points with the origin outside their hull: the cone point separates them
     pts = [[F(2), F(1)], [F(1), F(3)], [F(5), F(-1)]]
-    u = exactlp.open_cone_point(pts, 2)
+    u = lp_oracle.open_cone_point(pts, 2)
     assert u is not None and _satisfies_strictly(u, pts)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_cone_oracles_on_integer_fraction_and_float_rows(data):
-    dim = data.draw(st.integers(1, 3))
-    m = data.draw(st.integers(1, 6))
+    dim = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(0, 6))
     ints = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
                               min_size=m, max_size=m))
+    if data.draw(st.booleans()):
+        # rank below dim: the last column is the sum of the others
+        ints = [r[:-1] + [sum(r[:-1])] for r in ints]
+    if data.draw(st.booleans()):
+        ints.insert(data.draw(st.integers(0, m)), [0] * dim)
+    m = len(ints)
     # the same cone, each row scaled by a positive rational or a power of two
     dens = data.draw(st.lists(st.integers(1, 7), min_size=m, max_size=m))
     exps = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
@@ -137,14 +64,62 @@ def test_cone_oracles_on_integer_fraction_and_float_rows(data):
         [[Fraction(x, q) for x in r] for r, q in zip(ints, dens)],
         [[x * 2.0**e for x in r] for r, e in zip(ints, exps)],
     ]
-    points = [exactlp.open_cone_point(rows, dim) for rows in forms]
+    points = [lp_oracle.open_cone_point(rows, dim) for rows in forms]
     nontrivial = [exactlp.cone_is_nontrivial(rows, dim) for rows in forms]
     assert len({p is None for p in points}) == 1
-    assert len(set(nontrivial)) == 1
+    assert set(nontrivial) == {lp_oracle.cone_is_nontrivial(ints, dim)}
     for rows, p in zip(forms, points):
         assert all(isinstance(x, Fraction) for x in p or ())
         assert p is None or _satisfies_strictly(p, rows)
     assert points[0] is None or nontrivial[0]
+
+
+def _fraction_nullspace(rows, ncols):
+    """The kernel basis read off the reduced echelon form over Fraction: 1 at
+    one free column, 0 at the others."""
+    echelon = exactlp._echelon(rows)
+    pivots = {col for col, _ in echelon}
+    basis = []
+    for free in sorted(set(range(ncols)) - pivots):
+        x = [Fraction(int(j == free)) for j in range(ncols)]
+        for col, row in reversed(echelon):
+            x[col] = -sum(a * b for a, b in zip(row, x)) / row[col]
+        basis.append(x)
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_nullspace_is_primitive_and_scales_the_fraction_basis(data):
+    ncols = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4) | st.just(0), min_size=ncols, max_size=ncols),
+                              max_size=6))
+    basis = exactlp.integer_nullspace(rows, ncols)
+    assert len(basis) == ncols - exactlp.integer_rank(rows)
+    for v in basis:
+        assert all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+    assert basis == [exactlp.primitive_row(x) for x in _fraction_nullspace(rows, ncols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lines_are_the_kernels_of_independent_subsets(data):
+    dim = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=6))
+    found = exactlp.lines(rows, dim)
+    # each line once: no repeats, and never both v and -v
+    assert len(set(found) | {tuple(-x for x in v) for v in found}) == 2 * len(found)
+    expected = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        if exactlp.integer_rank(subset) == dim - 1:
+            (v,) = exactlp.integer_nullspace(subset, dim)
+            expected.add(tuple(v))
+    assert set(found) == expected
+    for v in found:
+        zero = [r for r in rows if not any(exactlp.signs([r], v))]
+        assert exactlp.integer_rank(zero) == dim - 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,7 +128,7 @@ def test_open_cone_point_on_arbitrary_float_rows(data):
     dim = data.draw(st.integers(1, 3))
     floats = st.floats(-3, 3, allow_nan=False, allow_subnormal=False)
     rows = data.draw(st.lists(st.lists(floats, min_size=dim, max_size=dim), min_size=1, max_size=5))
-    p = exactlp.open_cone_point(rows, dim)
+    p = lp_oracle.open_cone_point(rows, dim)
     assert p is None or _satisfies_strictly(p, rows)
     exact = [[Fraction(x) for x in r] for r in rows]
     assert exactlp.cone_is_nontrivial(rows, dim) == exactlp.cone_is_nontrivial(exact, dim)
@@ -172,7 +147,7 @@ def test_cone_is_nontrivial():
 def origin_hull_position(points, dim):
     """'outside', 'boundary' or 'interior' of the closed convex hull."""
     # a u with u.p > 0 for every point p separates the origin from the hull
-    if exactlp.open_cone_point(points, dim) is not None:
+    if lp_oracle.open_cone_point(points, dim) is not None:
         return "outside"
     # origin is in the hull; it sits on the boundary iff some supporting
     # hyperplane through 0 exists, i.e. {u : p.u >= 0 for all p} != {0}

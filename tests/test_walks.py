@@ -1,11 +1,14 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from weylhull import mc, walks
+from weylhull import hull, mc, walks
 from weylhull.absorption import WalkFamily, absorption_probability
 from weylhull.arrangements import reflection_characteristic_polynomial, intersected_region_count
+
+import lp_oracle
 
 
 def sample_increments(model, n, seed=mc.DEFAULT_SEED):
@@ -54,20 +57,69 @@ def test_make_bridge_zero_sum():
     assert out.shape == inc.shape
 
 
+@dataclass(frozen=True)
+class HullMembership:
+    """Origin-in-hull verdict with a checkable certificate.
+
+    inside carries convex coefficients lam (sum 1, nonnegative, with
+    lam @ points within the tolerance of 0); outside carries a unit vector u
+    with min_i <u, S_i> > 0.  boundary_ambiguous flags distances inside the
+    (tol, 100 tol) band, where neither certificate is trustworthy.
+    """
+
+    inside: bool
+    certificate_kind: str  # "convex" or "separator"
+    certificate: np.ndarray
+    boundary_ambiguous: bool
+    distance: float
+
+
+def origin_in_hull(points, tol=walks.DEFAULT_TOL):
+    """Membership of the origin in the convex hull of the given points, one
+    sample at a time: the oracle for the batched hull tests.
+
+    Numeric path: min-norm point, inside iff distance <= tol.  Integer
+    inputs take an exact rational LP path instead, so lattice walks get
+    boundary cases right (closed-hull semantics, never ambiguous).
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size == 0:
+        raise ValueError("need at least one point")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    d = pts.shape[1]
+    if walks._is_integral(pts):
+        # a u with u.p > 0 for every point p separates the origin from the hull
+        u = lp_oracle.open_cone_point(pts.astype(int).tolist(), d)
+        if u is not None:
+            u = np.array([float(x) for x in u])
+            u /= np.linalg.norm(u)
+            return HullMembership(False, "separator", u, False, float("nan"))
+        _, lam, _ = hull.min_norm_point(pts)
+        return HullMembership(True, "convex", lam, False, 0.0)
+    x, lam, dist = hull.min_norm_point(pts)
+    if dist <= tol:
+        return HullMembership(True, "convex", lam, False, dist)
+    u = x / dist
+    return HullMembership(False, "separator", u, tol < dist < 100.0 * tol, dist)
+
+
 def test_origin_in_hull_certificates():
-    res = walks.origin_in_hull([(1.0, 0.0), (0.0, 1.0)])
+    res = origin_in_hull([(1.0, 0.0), (0.0, 1.0)])
     assert not res.inside and res.certificate_kind == "separator"
     pts = np.array([(1.0, 0.0), (0.0, 1.0)])
     assert np.min(pts @ res.certificate) > 0
     assert res.certificate == pytest.approx([2**-0.5, 2**-0.5])
 
-    res = walks.origin_in_hull([(1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0)])
+    res = origin_in_hull([(1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0)])
     assert res.inside and res.certificate_kind == "convex"
     lam = res.certificate
     assert lam == pytest.approx([0.5, 0.25, 0.25], abs=1e-9)
     assert lam.sum() == pytest.approx(1.0, abs=1e-12)
 
-    res = walks.origin_in_hull([(1.0,)])
+    res = origin_in_hull([(1.0,)])
     assert not res.inside
 
 
@@ -76,7 +128,7 @@ def test_origin_in_hull_certificate_soundness_fuzz():
     tol = 1e-10
     for _ in range(100):
         pts = rng.standard_normal((rng.integers(2, 8), rng.integers(1, 4)))
-        res = walks.origin_in_hull(pts, tol=tol)
+        res = origin_in_hull(pts, tol=tol)
         if res.inside:
             lam = res.certificate
             assert abs(lam.sum() - 1.0) <= 1e-12
@@ -88,16 +140,16 @@ def test_origin_in_hull_certificate_soundness_fuzz():
 
 def test_origin_in_hull_exact_lattice_boundary():
     # origin on a segment: closed-hull semantics, never ambiguous
-    res = walks.origin_in_hull([(2, 0), (-3, 0)])
+    res = origin_in_hull([(2, 0), (-3, 0)])
     assert res.inside and not res.boundary_ambiguous
-    res = walks.origin_in_hull([(1, 1), (2, 1)])
+    res = origin_in_hull([(1, 1), (2, 1)])
     assert not res.inside and not res.boundary_ambiguous
 
 
 def test_origin_in_hull_rejects_non_finite_points():
     for pts in ([[1.0, np.nan, 0.0], [-1.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0], [-1.0, 0.0, 1.0]]):
         with pytest.raises(ValueError, match="points must be finite"):
-            walks.origin_in_hull(pts)
+            origin_in_hull(pts)
 
 
 def test_lattice_estimate_raises_no_runtime_warning():
@@ -154,9 +206,9 @@ def test_d_hull_union_identity():
         full = np.vstack([s, star])
         for _ in range(5):
             q = rng.standard_normal(2) * 1.5
-            in_full = walks.origin_in_hull(full - q).inside
-            in_a = walks.origin_in_hull(s - q).inside
-            in_b = walks.origin_in_hull(np.vstack([s[:-1], star]) - q).inside
+            in_full = origin_in_hull(full - q).inside
+            in_a = origin_in_hull(s - q).inside
+            in_b = origin_in_hull(np.vstack([s[:-1], star]) - q).inside
             assert in_full == (in_a or in_b)
 
 
