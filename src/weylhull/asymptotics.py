@@ -11,8 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from scipy.special import loggamma
-
 from .coefficients import reflection_type
 
 #: guard band around the x = 1 singularity of the large-deviation prefactor
@@ -59,6 +57,9 @@ def mod_poisson_limit(z):
     """Limit of the tilted generating-function ratio: 2^(e^z) Gamma(e^z/2) /
     (2 sqrt(pi) Gamma(e^z)).  Accepts real or complex z; rejects complex
     arguments whose e^z lands on a pole of either Gamma factor."""
+    # imported here so that the other approximations never load SciPy
+    from scipy.special import loggamma
+
     w = cmath.exp(z)
     for arg in (w / 2.0, w):
         if abs(arg.imag) < 1e-12 and arg.real <= 0 and abs(arg.real - round(arg.real)) < 1e-12:

@@ -23,7 +23,17 @@ from . import asymptotics as asy
 from . import cones, mc, verify, walks
 from .absorption import KINDS, WalkFamily, absorption_probability
 from .absorption import absorption_probability_float, non_absorption_probability_float
-from .coefficients import TYPES
+from .coefficients import EXACT_N_CAP, TYPES
+
+#: largest n for which a command builds a full exact row (``coeffs`` without
+#: ``--kmax`` and every ``cone`` action); past it a row takes many seconds,
+#: while prefixes stay cheap up to EXACT_N_CAP
+FULL_ROW_N_CAP = 2000
+
+
+def _check_full_row(n: int, hint: str = "") -> None:
+    if n > FULL_ROW_N_CAP:
+        raise SystemExit2(f"full exact rows are capped at n={FULL_ROW_N_CAP}; got n={n}{hint}")
 
 
 def _seed_value(raw: str) -> int:
@@ -143,6 +153,7 @@ def _cmd_coeffs(args) -> int:
     if args.kmax is not None:
         coeffs = list(t.prefix(args.n, args.kmax))
     else:
+        _check_full_row(args.n, f" (pass --kmax for a prefix, up to n={EXACT_N_CAP})")
         coeffs = list(t.row(args.n).coeffs)
     result = {"coefficients": coeffs}
     rows = [["k", "coefficient"]] + list(enumerate(coeffs))
@@ -235,6 +246,7 @@ def _cmd_cone(args) -> int:
         "n": args.n,
         "format": args.format,
     }
+    _check_full_row(args.n)
     v = cones.weyl_intrinsic_volumes(args.type, args.n)
     if args.action == "volumes":
         result = {"v": list(v.v), "v_float": v.as_floats()}

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special as sp
 
 #: largest n for which full exact rows are computed
 EXACT_N_CAP = 5000
@@ -269,6 +268,9 @@ def product_pmf(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -> n
 def _odds_power_sums(run: range, jmax: int) -> np.ndarray:
     """s[j] = sum of r^-j over the run for j = 1..jmax (s[0] = 0), from the
     digamma and Hurwitz-zeta functions at start / step."""
+    # imported here so that the exact paths never load SciPy
+    from scipy import special as sp
+
     q, m, step = run.start / run.step, len(run), float(run.step)
     s = np.zeros(jmax + 1)
     s[1] = (sp.digamma(q + m) - sp.digamma(q)) / step

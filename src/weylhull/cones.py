@@ -7,12 +7,12 @@ Steiner check projects and evaluates whole arrays of points at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from . import coefficients as coef
 from . import exactlp, hull, mc
@@ -26,8 +26,9 @@ _CROFTON_BAND = 1e-9
 class IntrinsicVolumeVector:
     """v_0..v_n for a closed convex cone in R^n.
 
-    The entries sum to 1; for a cone that is not a linear subspace the
-    even-index and odd-index sums both equal 1/2.
+    The entries are rationals (``Fraction`` or ``int``) and sum to 1; for a
+    cone that is not a linear subspace the even-index and odd-index sums both
+    equal 1/2.
     """
 
     n: int
@@ -36,7 +37,9 @@ class IntrinsicVolumeVector:
     def __post_init__(self):
         if len(self.v) != self.n + 1:
             raise ValueError("need n + 1 intrinsic volumes")
-        if sum(self.v) != 1:
+        # the sum over one common denominator L: no gcd per partial sum
+        lcm = math.lcm(*(x.denominator for x in self.v))
+        if sum(x.numerator * (lcm // x.denominator) for x in self.v) != lcm:
             raise ValueError("intrinsic volumes must sum to 1")
         if any(x < 0 for x in self.v):
             raise ValueError("intrinsic volumes must be nonnegative")
@@ -133,6 +136,9 @@ def steiner_tail_cdf(v: IntrinsicVolumeVector, lam: float | np.ndarray) -> float
     k = n term is the unit step at 0 (points inside the cone stay put) and
     the k = 0 term is the unit step at 1 (points projecting to the apex).
     """
+    # imported here so that exact volumes never load SciPy
+    from scipy.special import betainc
+
     x = np.asarray(lam, dtype=float)
     # NaN fails both comparisons, so it is rejected too
     if not np.all((x >= 0.0) & (x <= 1.0)):

@@ -11,7 +11,6 @@ so every verdict is either certified or the one min_norm_point gives.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 #: Frank-Wolfe steps of the vectorized separation bound for d >= 3
 _FW_STEPS = 8
@@ -27,6 +26,9 @@ def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     divided by their largest norm, which keeps degenerate and badly scaled
     sets well conditioned.
     """
+    # imported here so that only the d >= 3 fallbacks load SciPy
+    from scipy.optimize import nnls
+
     pts = np.asarray(points, dtype=float)
     scaled = pts / (np.linalg.norm(pts, axis=1).max() or 1.0)
     y, _ = nnls(np.vstack([scaled.T, np.ones(len(pts))]), np.eye(pts.shape[1] + 1)[-1])

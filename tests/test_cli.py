@@ -1,17 +1,23 @@
 import hashlib
 import json
+import math
+import os
 import re
+import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from test_cli_golden import GOLDEN
 from weylhull import arrangements as arr_mod
-from weylhull import cli, verify
+from weylhull import cli, coefficients, cones, verify
 from weylhull.absorption import WalkFamily, absorption_probability
 from weylhull.coefficients import EXACT_N_CAP, b_prefix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -250,3 +256,104 @@ def test_one_step_bridge_is_a_usage_error(capsys):
     for dim in ("1", "2"):
         code, out = run(capsys, "exact", "--family", "bridge-A", "--steps", "1", "--dim", dim)
         assert code == 2 and out == ""
+
+
+def _fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script in a new interpreter that imports weylhull from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+_NO_SCIPY_UNTIL_FLOAT = """
+import contextlib, hashlib, io, sys
+from weylhull import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv.split()) == 0, argv
+    return out.getvalue()
+
+for argv in ("exact --family walk-B --steps 10 --dim 2",
+             "exact --family bridge-A --steps 9 --dim 2 --format json",
+             "coeffs --type B --n 60 --kmax 3",
+             "arrangement charpoly --type D --n 4",
+             "cone volumes --type D --n 4"):
+    run(argv)
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, (argv, loaded[:5])
+out = run(sys.argv[1])
+assert "scipy.special" in sys.modules
+print(hashlib.sha256(out.encode()).hexdigest())
+"""
+
+
+def test_exact_paths_run_without_scipy():
+    # a module-level SciPy import would cost every CLI child most of its start-up
+    argv = "exact --family walk-B --steps 100000 --dim 2 --float"
+    proc = _fresh(_NO_SCIPY_UNTIL_FLOAT, argv)
+    assert proc.stdout.strip() == dict(GOLDEN)[argv]
+
+
+_SIMULATE = """
+import sys
+from weylhull import cli
+assert cli.main(sys.argv[1:]) == 0
+# the d >= 3 fallback ran, so NNLS was first imported on the pool's threads
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_first_nnls_import_on_pool_threads_keeps_the_estimate():
+    argv = "simulate --model gaussian --family walk-B --steps 8 --dim 3 --samples 40000".split()
+    outs = [_fresh(_SIMULATE, *argv, "--threads", threads).stdout for threads in ("1", "2")]
+    lines = [[l for l in out.splitlines() if not l.startswith("# threads=")] for out in outs]
+    assert lines[0] == lines[1]
+    assert len(lines[0]) == len(outs[0].splitlines()) - 1
+
+
+@pytest.mark.parametrize("argv", [
+    "coeffs --type B --n {n}",
+    "coeffs --type A --n {n} --format json",
+    "cone volumes --type D --n {n}",
+    "cone steiner --type B --n {n}",
+    "cone crofton --type A --n {n} --codim 2 --samples 10",
+])
+def test_full_rows_past_the_cap_are_a_usage_error(capsys, monkeypatch, argv):
+    def no_row(*args):
+        raise AssertionError("a full row was built past the cap")
+
+    monkeypatch.setattr(coefficients, "product_prefix", no_row)
+    assert cli.main(argv.format(n=cli.FULL_ROW_N_CAP + 1).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"capped at n={cli.FULL_ROW_N_CAP}" in captured.err
+    assert ("--kmax" in captured.err) == argv.startswith("coeffs")
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("action", ["volumes", "steiner", "crofton --codim 2"])
+def test_cone_commands_run_at_the_cap(monkeypatch, action):
+    def reached(kind, n):
+        raise _Reached(n)
+
+    monkeypatch.setattr(cones, "weyl_intrinsic_volumes", reached)
+    with pytest.raises(_Reached):
+        cli.main(f"cone {action} --type B --n {cli.FULL_ROW_N_CAP}".split())
+
+
+def test_coeffs_runs_at_the_cap(capsys):
+    n = cli.FULL_ROW_N_CAP
+    code, out = run(capsys, "coeffs", "--type", "B", "--n", str(n), "--format", "csv")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == ["k", "coefficient"] and len(rows) == n + 2
+    with _no_digit_limit():
+        assert int(rows[1][1]) == math.prod(range(1, 2 * n, 2))
+    assert rows[-1] == [str(n), "1"]

@@ -30,6 +30,32 @@ def test_volumes_sum_and_half_split():
         assert cones.half_tail(v, 1) == Fraction(1, 2)
 
 
+_small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_small_rationals, st.integers(-1, 2)), min_size=1, max_size=8),
+       st.booleans())
+def test_volume_vector_checks_its_sum_exactly(v, complete):
+    if complete:
+        # make the sum exactly 1 with a last entry
+        v = v + [1 - sum(v, Fraction(0))]
+    v = tuple(v)
+    if sum(v, Fraction(0)) != 1:
+        with pytest.raises(ValueError, match="^intrinsic volumes must sum to 1$"):
+            cones.IntrinsicVolumeVector(len(v) - 1, v)
+    elif any(x < 0 for x in v):
+        with pytest.raises(ValueError, match="^intrinsic volumes must be nonnegative$"):
+            cones.IntrinsicVolumeVector(len(v) - 1, v)
+    else:
+        assert cones.IntrinsicVolumeVector(len(v) - 1, v).v == v
+
+
+def test_volume_vector_rejects_a_wrong_length():
+    with pytest.raises(ValueError, match="^need n \\+ 1 intrinsic volumes$"):
+        cones.IntrinsicVolumeVector(2, (Fraction(1, 2), Fraction(1, 2)))
+
+
 def test_chamber_group_orders():
     assert cones.WeylChamber("A", 4).group_order == 24
     assert cones.WeylChamber("B", 3).group_order == 48
