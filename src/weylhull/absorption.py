@@ -157,10 +157,6 @@ def one_dimensional_reference(kind: str, n: int) -> Fraction:
         if n < 2:
             raise ValueError("bridge-sign requires n >= 2")
         return Fraction(2, n)
-    if kind == "simple-bridge-sign":
-        if n % 2 != 0 or n < 2:
-            raise ValueError("simple-bridge-sign requires even n >= 2")
-        return Fraction(1, n - 1)
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
@@ -178,6 +174,8 @@ def _float_tails(family: WalkFamily) -> tuple[float, float]:
     absorb = 1.0 - non_absorb
     if absorb < _DIRECT_ABSORB:
         absorb = 2.0 * float(pmf[start + 2::2].sum())
+        # the large tail as the complement of the small one stays in [0, 1]
+        non_absorb = 1.0 - absorb
     return absorb, non_absorb
 
 

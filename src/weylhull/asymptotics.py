@@ -54,20 +54,16 @@ def clt_approximation(case: str, n: float, d: int) -> float:
 
 
 def mod_poisson_limit(z):
-    """Limit of the tilted generating-function ratio: 2^(e^z) Gamma(e^z/2) /
-    (2 sqrt(pi) Gamma(e^z)).  Accepts real or complex z; rejects complex
-    arguments whose e^z lands on a pole of either Gamma factor."""
+    """Limit of the tilted generating-function ratio: 2^w Gamma(w/2) /
+    (2 sqrt(pi) Gamma(w)) with w = e^z, which Legendre's duplication formula
+    turns into 1 / Gamma((1 + w)/2), an entire function of z.  Accepts real
+    or complex z and returns the same kind."""
     # imported here so that the other approximations never load SciPy
-    from scipy.special import loggamma
+    from scipy.special import rgamma
 
-    w = cmath.exp(z)
-    for arg in (w / 2.0, w):
-        if abs(arg.imag) < 1e-12 and arg.real <= 0 and abs(arg.real - round(arg.real)) < 1e-12:
-            raise ValueError("argument hits a Gamma pole")
-    val = cmath.exp(w * math.log(2.0) + loggamma(w / 2.0) - loggamma(w)) / (2.0 * math.sqrt(math.pi))
     if isinstance(z, complex):
-        return val
-    return val.real
+        return complex(rgamma((1.0 + cmath.exp(z)) / 2.0))
+    return float(rgamma((1.0 + math.exp(z)) / 2.0))
 
 
 def _prefactor(u: float, x: float) -> float:

@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_coeffs)
 
     p = sub.add_parser("simulate", help="Monte Carlo absorption estimate")
-    p.add_argument("--model", choices=walks.MODEL_FAMILIES[:-1], required=True)
+    p.add_argument("--model", choices=walks.MODEL_FAMILIES, required=True)
     p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--steps", type=_steps_value, required=True)
     p.add_argument("--dim", type=int, required=True)

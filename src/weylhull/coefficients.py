@@ -32,12 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-#: largest n for which full exact rows are computed
+#: largest total n for which exact rows and prefixes are computed
 EXACT_N_CAP = 5000
 
 
 class ExactModeCapError(ValueError):
-    """Raised when an exact full-row computation exceeds EXACT_N_CAP."""
+    """Raised when an exact row or prefix exceeds EXACT_N_CAP."""
 
 
 @dataclass(frozen=True)
@@ -114,21 +114,12 @@ class ReflectionType:
 
     def row(self, n: int) -> CoefficientVector:
         """Coefficients of prod_i (t + r_i)."""
-        _check_cap(n)
         return CoefficientVector(product_prefix(((self, n),), n))
 
     def prefix(self, n: int, kmax: int) -> tuple[int, ...]:
         """The row's coefficients 0..kmax in O(n * kmax) big-int operations:
         what makes exact low-index tail sums cheap at n in the thousands."""
         return product_prefix(((self, n),), kmax)
-
-
-def _check_cap(n: int) -> None:
-    if n > EXACT_N_CAP:
-        raise ExactModeCapError(
-            f"exact full-row computation capped at n={EXACT_N_CAP}; "
-            f"got n={n} (use the float route for large n)"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +192,17 @@ def product_prefix(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -
 
     One recurrence serves full rows (kmax = number of roots) and truncated
     prefixes: each root updates c_k <- r c_k + c_{k-1} in place, top index
-    first, so a prefix costs O(n * kmax) big-int operations.
+    first, so a prefix costs O(n * kmax) big-int operations.  The factors'
+    total n is capped at EXACT_N_CAP.
     """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
+    total = sum(n for _, n in factors)
+    if total > EXACT_N_CAP:
+        raise ExactModeCapError(
+            f"exact computation capped at n={EXACT_N_CAP}; "
+            f"got n={total} (use the float route for large n)"
+        )
     row = [1] + [0] * kmax
     i = 0
     for t, n in factors:
@@ -284,10 +282,3 @@ stirling_row, stirling_prefix = TYPES["A"].row, TYPES["A"].prefix
 b_row, b_prefix = TYPES["B"].row, TYPES["B"].prefix
 d_row, d_prefix = TYPES["D"].row, TYPES["D"].prefix
 
-
-def bernoulli_family_mgf(family: str, n: int, z: float) -> float:
-    """E[exp(z X_n)] for the Bernoulli-sum representation, computed directly."""
-    roots = np.concatenate([np.arange(r.start, r.stop, r.step, dtype=float)
-                            for r in reflection_type(family).roots(n)])
-    p = 1.0 / (1.0 + roots)
-    return float(np.exp(np.sum(np.log1p(p * (math.exp(z) - 1.0)))))

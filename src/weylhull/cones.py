@@ -67,11 +67,6 @@ class WeylChamber:
     def group_order(self) -> int:
         return coef.TYPES[self.kind].order(self.n)
 
-    def inequality_normals(self) -> np.ndarray:
-        """Rows g with the chamber equal to {x : g @ x >= 0 for all g}: the
-        type's walls."""
-        return np.array(coef.TYPES[self.kind].walls(self.n), dtype=float)
-
     def generators(self) -> np.ndarray:
         """Columns spanning the chamber: conic hull of these equals the
         chamber (for type A together with the lineality line).

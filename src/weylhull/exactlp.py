@@ -1,11 +1,10 @@
-"""Exact integer linear algebra and the closed cone test.
+"""Exact integer linear algebra.
 
 Ranks, kernels and the Whitney sum share one fraction-free elimination on
 integer rows, scaled from the exact rational input, so no question here has
-a tolerance.  Whether a closed cone {x : row.x >= 0} holds a nonzero point
-is decided without optimisation: a pointed cone other than {0} has an
-extreme ray, and every extreme ray is one of the finitely many lines on
-which dim - 1 independent rows vanish (Minkowski-Weyl).
+a tolerance.  ``lines`` lists the finitely many lines on which dim - 1
+independent rows vanish: the only places a pointed cone {x : row.x >= 0}
+can have an extreme ray (Minkowski-Weyl).
 """
 from __future__ import annotations
 
@@ -104,13 +103,3 @@ def signs(rows: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     dots = (sum(a * b for a, b in zip(r, v)) for r in rows)
     return tuple((s > 0) - (s < 0) for s in dots)
 
-
-def cone_is_nontrivial(rows: Sequence[Sequence], dim: int) -> bool:
-    """Whether {x : row.x >= 0 for all rows} contains a nonzero point."""
-    # positive scaling leaves the cone as it is and makes the rows integral
-    rows = [primitive_row(r) for r in rows]
-    if integer_rank(rows) < dim:
-        return True
-    # the cone is pointed: it is nontrivial exactly when v or -v lies in it
-    # for one of the lines its extreme rays would span
-    return any(not {1, -1} <= set(signs(rows, v)) for v in lines(rows, dim))

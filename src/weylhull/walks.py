@@ -1,5 +1,5 @@
 """Walk and bridge sampling, Monte Carlo absorption estimates, and the
-per-sample kernel-chamber count, exact for integer increments.
+per-sample kernel-chamber count as hull tests of the group-rearranged walk.
 
 The sampling models are chosen to exercise the distribution-free claim: the
 exact absorption probabilities depend only on (symmetry type, n, d), so
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as coef
-from . import exactlp, hull, mc
+from . import hull, mc
 from .absorption import WalkFamily
 from .cones import WeylChamber
 
-MODEL_FAMILIES = ("gaussian", "uniform-sphere", "heavy-tail", "lattice-simple", "matrix")
+MODEL_FAMILIES = ("gaussian", "uniform-sphere", "heavy-tail", "lattice-simple")
 
 #: default hull-membership tolerance band
 DEFAULT_TOL = 1e-10
@@ -32,29 +32,16 @@ CHAMBER_N_CAP = 6
 
 @dataclass(frozen=True)
 class IncrementModel:
-    """An increment distribution: model family plus ambient dimension.
-
-    'matrix' wraps a fixed user-supplied d x n increment matrix (stored as a
-    nested tuple so the model stays hashable).
-    """
+    """An increment distribution: model family plus ambient dimension."""
 
     family: str
     dimension: int
-    matrix: tuple | None = None
 
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ValueError(f"unknown increment model {self.family!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.family == "matrix":
-            if self.matrix is None:
-                raise ValueError("matrix model needs the matrix")
-            arr = np.asarray(self.matrix, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != self.dimension:
-                raise ValueError("matrix must be d x n")
-        elif self.matrix is not None:
-            raise ValueError("matrix only valid for the matrix model")
 
     @property
     def continuous(self) -> bool:
@@ -72,16 +59,12 @@ def _draw_batch(model: IncrementModel, rng: np.random.Generator, count: int, n: 
     if model.family == "heavy-tail":
         # componentwise standard Cauchy: symmetric, no finite moments
         return rng.standard_cauchy((count, n, d))
-    if model.family == "lattice-simple":
-        axis = rng.integers(0, d, size=(count, n))
-        sign = rng.integers(0, 2, size=(count, n)) * 2 - 1
-        out = np.zeros((count, n, d))
-        np.put_along_axis(out, axis[:, :, None], sign[:, :, None].astype(float), axis=2)
-        return out
-    arr = np.asarray(model.matrix, dtype=float)
-    if arr.shape[1] != n:
-        raise ValueError(f"matrix model has {arr.shape[1]} steps, asked for {n}")
-    return np.broadcast_to(arr.T, (count, n, d)).copy()
+    # lattice-simple: one signed unit step along a uniform axis
+    axis = rng.integers(0, d, size=(count, n))
+    sign = rng.integers(0, 2, size=(count, n)) * 2 - 1
+    out = np.zeros((count, n, d))
+    np.put_along_axis(out, axis[:, :, None], sign[:, :, None].astype(float), axis=2)
+    return out
 
 
 def make_bridge(increments: np.ndarray) -> np.ndarray:
@@ -102,6 +85,19 @@ def make_bridge(increments: np.ndarray) -> np.ndarray:
 
 def _is_integral(pts: np.ndarray) -> bool:
     return bool(np.all(pts == np.round(pts)) and np.all(np.abs(pts) < 2**52))
+
+
+def _normalise(pts: np.ndarray) -> np.ndarray:
+    """The stack of point sets (N, m, d), each divided in place by its
+    largest point norm.
+
+    Hull membership is scale-invariant, so this makes a hull test's band
+    relative (heavy-tail samples span many orders of magnitude); dividing in
+    place keeps a single copy of the stack alive during the test.
+    """
+    scale = np.linalg.norm(pts, axis=2).max(axis=1)
+    pts /= np.maximum(scale, 1e-300)[:, None, None]
+    return pts
 
 
 def _point_sets(family: WalkFamily, inc: np.ndarray) -> np.ndarray:
@@ -138,11 +134,7 @@ def estimate_absorption(
     closed = not model.continuous
 
     def chunk(rng: np.random.Generator, size: int) -> tuple[int, int]:
-        pts = _point_sets(family, _draw_batch(model, rng, size, n))
-        # hull membership is scale-invariant: normalize per sample so the
-        # band is relative (heavy-tail samples span many orders of magnitude)
-        scale = np.linalg.norm(pts, axis=2).max(axis=1, keepdims=True)
-        pts = pts / np.maximum(scale, 1e-300)[:, :, None]
+        pts = _normalise(_point_sets(family, _draw_batch(model, rng, size, n)))
         inside, amb = hull.batch_origin_in_hull(pts, tol, closed=closed)
         return int(inside.sum()), int(amb.sum())
 
@@ -150,13 +142,18 @@ def estimate_absorption(
 
 
 def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
-    """Number of closed group chambers meeting Ker(increments) nontrivially.
+    """Number of closed group chambers meeting Ker(increments) outside the
+    lineality line (outside 0 for B and D).
 
-    For generic increments this count is deterministic: it equals the number
-    of arrangement regions met by a generic subspace of the kernel's
-    dimension, which is the per-sample mechanism behind the exact absorption
-    formulas.  Group A expects bridged increments (columns summing to zero)
-    and counts chambers modulo the common diagonal line.
+    The chamber gC is the cone over the columns of g G, G the chamber's
+    generators, plus the lineality line, which Ker(X) contains for bridged X.
+    So gC meets Ker(X) there exactly when the origin lies in the closed convex
+    hull of the columns of X g G: the walk whose increments g rearranges
+    (permutes and, for B and D, sign-flips).  For generic increments the count
+    is deterministic: it equals the number of arrangement regions met by a
+    generic subspace of the kernel's dimension, which is the per-sample
+    mechanism behind the exact absorption formulas.  Group A expects bridged
+    increments (columns summing to zero).
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 2:
@@ -165,42 +162,16 @@ def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
     if n > CHAMBER_N_CAP:
         raise ValueError(f"chamber enumeration capped at n <= {CHAMBER_N_CAP}")
     chamber = WeylChamber(group, n)
-    normals = chamber.inequality_normals()
     line = chamber.lineality()
-    stacked = inc
-    if line is not None:
-        if np.max(np.abs(inc @ line)) > 1e-9 * max(1.0, np.abs(inc).max()):
-            raise ValueError(f"group {group} needs bridged increments (zero column sums)")
-        # chambers are counted modulo the lineality line
-        stacked = np.vstack([inc, line])
+    if line is not None and np.max(np.abs(inc @ line)) > 1e-9 * max(1.0, np.abs(inc).max()):
+        raise ValueError(f"group {group} needs bridged increments (zero column sums)")
     lineality = coef.TYPES[group].lineality
     if d > n - lineality:
         raise ValueError(f"group {group} needs d <= {n - lineality}")
-    group_elements = chamber.group_elements()
-    if _is_integral(inc):
-        kernel = exactlp.integer_nullspace([[int(round(x)) for x in r] for r in stacked], n)
-        if not kernel:
-            return 0
-        count = 0
-        for g in group_elements:
-            rows = [[sum(int(x) * y for x, y in zip(w, b)) for b in kernel] for w in normals @ g]
-            count += exactlp.cone_is_nontrivial(rows, len(kernel))
-        return count
-    _, sv, vt = np.linalg.svd(stacked)
-    rank = int(np.sum(sv > _RANK_RTOL * sv[0]))
-    if rank != min(d + lineality, n):
+    stacked = inc if line is None else np.vstack([inc, line])
+    # integer increments may be degenerate: their points are exact
+    if not _is_integral(inc) and np.linalg.matrix_rank(stacked, rtol=_RANK_RTOL) != min(d + lineality, n):
         raise ValueError("rank-deficient increments: general position violated")
-    kernel = vt[rank:].T
-    k = kernel.shape[1]
-    if k == 0:
-        return 0
-    mats = normals @ group_elements @ kernel
-    scale = np.linalg.norm(mats, axis=2).max(axis=1)
-    mats = mats / np.maximum(scale, 1e-300)[:, None, None]
-    # the restricted cone is trivial exactly when the restricted normals
-    # positively span the kernel, i.e. 0 is interior to their convex hull
-    inside, amb = hull.batch_origin_in_hull(mats, 1e-9)
-    # ambiguous samples are settled by the exact cone test
-    resolved = sum(exactlp.cone_is_nontrivial(mats[i].tolist(), k)
-                   for i in np.flatnonzero(amb))
-    return int(len(mats) - inside.sum() - amb.sum() + resolved)
+    pts = np.einsum("dn,gnm->gmd", inc, chamber.group_elements() @ chamber.generators())
+    inside, _ = hull.batch_origin_in_hull(_normalise(pts), 1e-9, closed=True)
+    return int(inside.sum())

@@ -102,6 +102,15 @@ def test_float_tails_match_exact_in_both_tails(kind, steps, d):
     _assert_float_tails_match_exact(WalkFamily(kind, steps, d))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_small_families, st.integers(1, 80))
+def test_float_tails_are_probabilities_summing_to_one(family, d):
+    fam = WalkFamily(*family, d)
+    absorb, non_absorb = absorption_probability_float(fam), non_absorption_probability_float(fam)
+    assert 0.0 <= absorb <= 1.0 and 0.0 <= non_absorb <= 1.0
+    assert abs(absorb + non_absorb - 1.0) <= math.ulp(1.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_small_families)
 def test_exact_absorb_is_a_probability_decreasing_in_d(family):
@@ -113,7 +122,6 @@ def test_exact_absorb_is_a_probability_decreasing_in_d(family):
 def test_one_dimensional_references():
     assert one_dimensional_reference("sparre-positive", 2) == Fraction(3, 8)
     assert one_dimensional_reference("bridge-sign", 5) == Fraction(2, 5)
-    assert one_dimensional_reference("simple-bridge-sign", 4) == Fraction(1, 3)
 
 
 def test_invalid_families_rejected():

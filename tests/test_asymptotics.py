@@ -1,10 +1,20 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from weylhull import asymptotics as asy
 from weylhull.absorption import WalkFamily, non_absorption_probability_float
+from weylhull.coefficients import reflection_type
+
+
+def bernoulli_family_mgf(family: str, n: int, z: float) -> float:
+    """E[exp(z X_n)] for the Bernoulli-sum representation, computed directly."""
+    roots = np.concatenate([np.arange(r.start, r.stop, r.step, dtype=float)
+                            for r in reflection_type(family).roots(n)])
+    p = 1.0 / (1.0 + roots)
+    return float(np.exp(np.sum(np.log1p(p * (math.exp(z) - 1.0)))))
 
 
 def test_fixed_dimension_plug_ins():
@@ -34,7 +44,7 @@ def test_normal_cdf_symmetry_and_table():
 
 
 def test_mod_poisson_limit_values():
-    assert asy.mod_poisson_limit(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert asy.mod_poisson_limit(0.0) == 1.0
     assert asy.mod_poisson_limit(math.log(2.0)) == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
     z = 0.3 + 0.4j
     val = asy.mod_poisson_limit(z)
@@ -43,10 +53,10 @@ def test_mod_poisson_limit_values():
     assert asy.mod_poisson_limit(z.conjugate()) == pytest.approx(val.conjugate())
 
 
-def test_mod_poisson_pole_rejected():
-    # e^z = -2 hits Gamma poles
-    with pytest.raises(ValueError):
-        asy.mod_poisson_limit(cmath.log(2) + 1j * math.pi)
+def test_mod_poisson_removable_singularity():
+    # at e^z = -2 both Gamma factors have poles, but their ratio 1 / Gamma(-1/2) is finite
+    val = asy.mod_poisson_limit(cmath.log(2) + 1j * math.pi)
+    assert val == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-14)
 
 
 def test_large_deviation_prefactor_examples():
@@ -98,9 +108,12 @@ def test_phase_transition_sides():
     assert p_hi > 0.5 > p_lo
 
 
-def test_mod_poisson_is_mgf_limit():
-    from weylhull.coefficients import bernoulli_family_mgf
+def test_family_mgf_at_zero():
+    for fam in ("A", "B"):
+        assert bernoulli_family_mgf(fam, 100, 0.0) == pytest.approx(1.0, abs=1e-12)
 
+
+def test_mod_poisson_is_mgf_limit():
     for z in (1.0, -1.0):
         gaps = []
         for n in (10**3, 10**4, 10**5):

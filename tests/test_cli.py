@@ -251,6 +251,30 @@ def test_coeffs_past_digit_limit_round_trip(capsys):
     assert got == list(b_prefix(EXACT_N_CAP, 3))
 
 
+@pytest.mark.parametrize("argv", [
+    "exact --family walk-B --steps {n} --dim 2",
+    "exact --family joint-B --steps 2500,{rest} --dim 2 --format json",
+    "coeffs --type B --n {n} --kmax 3",
+])
+def test_exact_past_the_cap_is_a_usage_error(capsys, argv):
+    # rows, prefixes and products share one check on the total step count
+    assert cli.main(argv.format(n=EXACT_N_CAP + 1, rest=EXACT_N_CAP + 1 - 2500).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"capped at n={EXACT_N_CAP}; got n={EXACT_N_CAP + 1}" in captured.err
+    assert "use the float route" in captured.err
+
+
+def test_float_tails_print_as_probabilities(capsys):
+    # the large tail once printed as 1.0000000000000009 here
+    code, out = run(capsys, "exact", "--family", "walk-B", "--steps", "200", "--dim", "29", "--float",
+                    "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert 0.0 < result["absorb_float"] < 1e-3
+    assert 0.0 <= result["non_absorb_float"] <= 1.0
+
+
 def test_one_step_bridge_is_a_usage_error(capsys):
     # one step leaves a bridge no hull points, so no probability to print
     for dim in ("1", "2"):

@@ -62,8 +62,15 @@ def test_prefix_reaches_large_n():
 
 
 def test_exact_cap_enforced():
+    cap = coef.EXACT_N_CAP
     with pytest.raises(coef.ExactModeCapError):
-        coef.stirling_row(coef.EXACT_N_CAP + 1)
+        coef.stirling_row(cap + 1)
+    # prefixes and products share the check, on the factors' total n
+    with pytest.raises(coef.ExactModeCapError, match="use the float route"):
+        coef.b_prefix(cap + 1, 2)
+    with pytest.raises(coef.ExactModeCapError):
+        coef.product_prefix(((coef.TYPES["B"], cap // 2), (coef.TYPES["D"], cap - cap // 2 + 1)), 2)
+    assert len(coef.product_prefix(((coef.TYPES["B"], cap // 2), (coef.TYPES["D"], cap - cap // 2)), 2)) == 3
 
 
 def test_product_row_two_walks():
@@ -140,8 +147,3 @@ def test_family_pmf_large_n_normalizes():
     pmf = coef.product_pmf(((coef.TYPES["A"], 10**6),), 10)
     assert np.all(pmf >= 0)
     assert pmf.sum() < 1.0
-
-
-def test_family_mgf_at_zero():
-    for fam in ("A", "B"):
-        assert coef.bernoulli_family_mgf(fam, 100, 0.0) == pytest.approx(1.0, abs=1e-12)

@@ -56,6 +56,11 @@ def test_volume_vector_rejects_a_wrong_length():
         cones.IntrinsicVolumeVector(2, (Fraction(1, 2), Fraction(1, 2)))
 
 
+def walls(chamber):
+    """Rows g with the chamber equal to {x : g @ x >= 0 for all g}."""
+    return np.array(TYPES[chamber.kind].walls(chamber.n), dtype=float)
+
+
 def test_chamber_group_orders():
     assert cones.WeylChamber("A", 4).group_order == 24
     assert cones.WeylChamber("B", 3).group_order == 48
@@ -65,7 +70,7 @@ def test_chamber_group_orders():
 def test_generators_satisfy_inequalities():
     for kind, n in [("A", 4), ("B", 4), ("D", 4)]:
         ch = cones.WeylChamber(kind, n)
-        normals = ch.inequality_normals()
+        normals = walls(ch)
         gens = ch.generators()
         assert np.all(normals @ gens >= -1e-12)
 
@@ -75,14 +80,14 @@ def test_generators_are_the_dual_basis_of_the_walls(kind):
     # each generator lies on every wall but one, and on the positive side of that one
     for n in range(TYPES[kind].chamber_min_n, 8):
         ch = cones.WeylChamber(kind, n)
-        pairing = ch.inequality_normals() @ ch.generators()
+        pairing = walls(ch) @ ch.generators()
         scale = pairing.max(axis=0)
         assert np.all(scale >= 1) and np.array_equal(scale, np.round(scale))
         perm = pairing / scale
         assert set(np.unique(perm)) <= {0.0, 1.0}
         assert np.all(perm.sum(axis=0) == 1) and np.all(perm.sum(axis=1) == 1)
         if ch.lineality() is not None:
-            assert np.all(ch.inequality_normals() @ ch.lineality() == 0)
+            assert np.all(walls(ch) @ ch.lineality() == 0)
 
 
 @pytest.mark.parametrize("kind", "ABD")
@@ -122,7 +127,7 @@ def test_klivans_swartz_fails_against_a_wrong_characteristic_polynomial(monkeypa
 
 def _projection_oracle(chamber, y):
     # proj = y + N^T lam with lam = nnls residual multipliers
-    normals = chamber.inequality_normals()
+    normals = walls(chamber)
     lam, _ = nnls(normals.T, -y)
     return y + normals.T @ lam
 
@@ -137,7 +142,7 @@ def test_projection_matches_kkt_oracle():
             q = _projection_oracle(ch, y)
             assert np.allclose(p, q, atol=1e-7)
             assert dsq == pytest.approx(float(np.sum((y - q) ** 2)), abs=1e-7)
-            assert np.all(ch.inequality_normals() @ p >= -1e-9)
+            assert np.all(walls(ch) @ p >= -1e-9)
 
 
 @pytest.mark.parametrize("kind", "ABD")
@@ -153,7 +158,7 @@ def test_projection_is_the_moreau_decomposition(kind, n, data):
     p, dsq = cones.project_onto_weyl_chamber(ch, y)
     size = float(np.abs(y).sum())  # bounds |y| and does not underflow
     residual = y - p
-    assert np.all(ch.inequality_normals() @ p >= -1e-9 * size)
+    assert np.all(walls(ch) @ p >= -1e-9 * size)
     assert abs(residual @ p) <= 1e-9 * max(size, 1.0) ** 2
     assert np.all(ch.generators().T @ residual <= 1e-9 * size)
     if ch.lineality() is not None:

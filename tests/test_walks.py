@@ -4,9 +4,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from weylhull import hull, mc, walks
+from weylhull import exactlp, hull, mc, walks
 from weylhull.absorption import WalkFamily, absorption_probability
-from weylhull.arrangements import reflection_characteristic_polynomial, intersected_region_count
+from weylhull.arrangements import (Subspace, build_reflection_arrangement, count_regions_meeting_subspace,
+                                   intersected_region_count, reflection_characteristic_polynomial)
+from weylhull.coefficients import TYPES
 
 import lp_oracle
 
@@ -37,15 +39,6 @@ def test_lattice_columns_are_signed_units():
     norms = np.abs(inc).sum(axis=0)
     assert np.array_equal(norms, np.ones(100))
     assert set(np.unique(inc)) <= {-1.0, 0.0, 1.0}
-
-
-def test_matrix_model_round_trip():
-    mat = ((1.0, 2.0, -1.0), (0.0, 1.0, 1.0))
-    model = walks.IncrementModel("matrix", 2, matrix=mat)
-    inc = sample_increments(model, 3, seed=9)
-    assert np.array_equal(inc, np.asarray(mat))
-    with pytest.raises(ValueError):
-        sample_increments(model, 4, seed=9)
 
 
 def test_make_bridge_zero_sum():
@@ -235,6 +228,32 @@ def test_chamber_count_exact_path_sees_degeneracy():
     # kernel of [3, 1, -2] contains (1, -1, 1), a codimension-2 mirror line,
     # so extra chambers are touched along boundaries only
     assert walks.chamber_intersection_count(np.array([[3.0, 1.0, -2.0]]), "B") > 18
+
+
+@pytest.mark.parametrize("group, n", [("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 3), ("B", 4),
+                                      ("D", 3), ("D", 4)])
+def test_chamber_count_matches_the_closed_count_on_the_integer_kernel(group, n):
+    # an exact oracle: the mirror arrangement's closed regions that meet the
+    # integer kernel, taken modulo the lineality line, degenerate draws included
+    arr = build_reflection_arrangement(group, n)
+    t = TYPES[group]
+    rng = np.random.default_rng(n)
+    for d in range(1, n - t.lineality + 1):
+        for trial in range(6):
+            inc = rng.integers(-2, 3, (d, n))
+            if t.lineality:
+                inc[:, -1] -= inc.sum(axis=1)
+            if trial == 0 and d > 1:
+                inc[-1] = inc[0]  # rank-deficient
+            kernel = exactlp.integer_nullspace(inc.tolist() + [[1] * n] * t.lineality, n)
+            if not kernel:
+                want = 0
+            elif len(kernel) == n:
+                want = t.order(n)
+            else:
+                sub = Subspace(n, tuple(map(tuple, kernel)))
+                want = count_regions_meeting_subspace(arr, sub, "closed").count
+            assert walks.chamber_intersection_count(inc.astype(float), group) == want, inc
 
 
 def test_chamber_count_input_validation():
