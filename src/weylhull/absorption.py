@@ -31,7 +31,7 @@ _UPPER_MARGIN = 40
 _FACTORS = {t.walk: lambda steps, t=t: ((t, steps),) for t in coef.TYPES.values()}
 _FACTORS["joint-B"] = lambda steps: tuple(
     (coef.TYPES["B"], n) for n in ((steps,) if isinstance(steps, int) else steps))
-_FACTORS["wendel"] = lambda r: ((coef.TYPES["B"], 1),) * (r if isinstance(r, int) else len(r))
+_FACTORS["wendel"] = lambda r: ((coef.TYPES["B"], 1),) * r
 
 KINDS = tuple(_FACTORS)
 
@@ -42,8 +42,8 @@ class WalkFamily:
 
     The family's chamber is the direct product of its factors' chambers, so
     its row is the product of their rows and its group order, lineality and
-    step count are the factors' totals.  kind 'joint-B' (and 'wendel') takes
-    a tuple of step counts; the others a single positive integer.
+    step count are the factors' totals.  kind 'joint-B' takes a tuple of step
+    counts, 'wendel' one point count r, and the others one step count.
     """
 
     kind: str
@@ -57,6 +57,8 @@ class WalkFamily:
             raise ValueError(f"unknown walk kind {self.kind!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if self.kind == "wendel" and not isinstance(self.steps, int):
+            raise ValueError("wendel takes one integer point count r")
         factors = _FACTORS[self.kind](self.steps)
         if not factors:
             raise ValueError("need at least one walk")

@@ -290,6 +290,8 @@ def _cmd_cone(args) -> int:
 def _cmd_asympt(args) -> int:
     if args.regime == "fixed" and args.d is None:
         raise SystemExit2("the fixed regime needs --d")
+    if args.regime == "ld" and args.d is not None:
+        raise SystemExit2("the ld regime sets d from --x; it takes no --d")
     ns = [int(float(tok)) for tok in args.n_grid.split(",") if tok]
     case = args.case
     kind = TYPES[case].walk
@@ -309,7 +311,7 @@ def _cmd_asympt(args) -> int:
             d = args.d
             approx, side = asy.fixed_dimension_asymptotic(case, n, d), "non-absorb"
         elif args.regime == "clt":
-            d = args.d if args.d else round(u * math.log(n))
+            d = args.d if args.d is not None else round(u * math.log(n))
             approx, side = asy.clt_approximation(case, n, d), "non-absorb"
         else:  # ld
             d = max(1, round(args.x * u * math.log(n)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -67,31 +68,15 @@ class WeylChamber:
     def group_order(self) -> int:
         return coef.TYPES[self.kind].order(self.n)
 
-    def generators(self) -> np.ndarray:
-        """Columns spanning the chamber: conic hull of these equals the
-        chamber (for type A together with the lineality line).
-
-        They are the dual basis of the walls, each scaled to coprime integers:
-        column j lies on every wall but wall j, and on x_i = 0 for i up to
-        the lineality's dimension, which fixes it modulo the lineality.
-        Columns run from the last wall to the first.
-        """
-        t = coef.TYPES[self.kind]
-        walls = t.walls(self.n)
-        rows = walls + np.eye(self.n, dtype=int)[: t.lineality].tolist()
-        cols = []
-        for j in reversed(range(len(walls))):
-            (g,) = exactlp.integer_nullspace(rows[:j] + rows[j + 1 :], self.n)
-            cols.append(g if np.dot(walls[j], g) > 0 else [-x for x in g])
-        return np.array(cols, dtype=float).T
-
     def lineality(self) -> np.ndarray | None:
         """The direction spanning the lineality line, if any: the walls' kernel."""
         kernel = exactlp.integer_nullspace(coef.TYPES[self.kind].walls(self.n), self.n)
         return np.array(kernel[0], dtype=float) if kernel else None
 
+    @lru_cache(maxsize=8)
     def group_elements(self) -> np.ndarray:
-        """The group as (order, n, n) integer matrices, generated by the wall reflections."""
+        """The group as (order, n, n) integer matrices, generated by the wall
+        reflections; built once per chamber and returned read-only."""
         n = self.n
         walls = np.array(coef.TYPES[self.kind].walls(n))
         eye = np.eye(n, dtype=int)
@@ -103,7 +88,9 @@ class WeylChamber:
             elements.update((g.tobytes(), g) for g in frontier)
             products = (reflections[:, None] @ np.array(frontier)).reshape(-1, n, n)
             frontier = list({g.tobytes(): g for g in products if g.tobytes() not in elements}.values())
-        return np.array(list(elements.values()))
+        group = np.array(list(elements.values()))
+        group.flags.writeable = False
+        return group
 
 
 def weyl_intrinsic_volumes(kind: str, n: int) -> IntrinsicVolumeVector:
@@ -223,32 +210,33 @@ def crofton_mc_estimate(
     """Monte Carlo estimate of h_{d+1} via random subspace hits.
 
     h_{d+1} = (1/2) P[C meets a uniform subspace of codimension d outside
-    the origin].  The hit test projects the chamber generators onto a
-    uniform d-dimensional orthonormal frame (the orthogonal complement of
-    the sampled subspace) and asks whether the origin lies in their convex
-    hull.  A chamber with a lineality line L is C' + L for the cone C'
-    spanned by the generators, so the hit test runs modulo the projection
-    of L: on the complement of that direction inside the frame.
+    the origin].  That subspace is Ker(G^T) for a Gaussian n x d frame G, so
+    the hit test asks whether the origin lies in the convex hull of G^T times
+    the rays: the hull points of the walk with steps G reversed, as the rays
+    are those at the reversed unit steps.  No QR is needed, since an invertible
+    map of R^d keeps the origin's place in a hull.  A chamber with a lineality
+    line L is C' + L for the cone C' spanned by the rays, so the hit test runs
+    modulo the image of L: on the complement of that direction.
     """
     n = chamber.n
     if not 0 <= d <= n - 1:
         raise ValueError("codimension out of range")
-    if d <= coef.TYPES[chamber.kind].lineality:
-        # W = R^n at d = 0; for d <= dim L, W meets span(L, g) for a generator
-        # g in a line with one ray in C.  Either way h_{d+1} = 1/2 exactly
+    t = coef.TYPES[chamber.kind]
+    if d <= t.lineality:
+        # W = R^n at d = 0; for d <= dim L, W meets span(L, g) for a ray g
+        # in a line with one ray in C.  Either way h_{d+1} = 1/2 exactly
         return mc.MCEstimate(0.5, 0.0, mc.check_samples(samples), seed, 0.0)
-    gens = chamber.generators()
+    rays = t.hull_points(np.eye(n)[None, ::-1])[0]
     line = chamber.lineality()
-    band = _CROFTON_BAND * max(1.0, float(np.linalg.norm(gens, axis=0).max()))
+    band = _CROFTON_BAND * max(1.0, float(np.linalg.norm(rays, axis=1).max()))
 
     def chunk(rng: np.random.Generator, size: int) -> tuple[int, int]:
         g = rng.standard_normal((size, n, d))
-        q, _ = np.linalg.qr(g)
-        pts = np.einsum("snd,nm->smd", q, gens)
+        pts = t.hull_points(g[:, ::-1])
         if line is not None:
-            # the QR factorisation of [q^T line | I] puts the line's image
+            # the QR factorisation of [g^T line | I] puts the line's image
             # first, so Q's other columns are orthonormal on its complement
-            w = np.einsum("snd,n->sd", q, line)[:, :, None]
+            w = np.einsum("snd,n->sd", g, line)[:, :, None]
             basis, _ = np.linalg.qr(np.concatenate([w, np.broadcast_to(np.eye(d), (size, d, d))], axis=2))
             pts = pts @ basis[:, :, 1:]
         inside, amb = hull.batch_origin_in_hull(pts, band)

@@ -145,12 +145,13 @@ def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
     """Number of closed group chambers meeting Ker(increments) outside the
     lineality line (outside 0 for B and D).
 
-    The chamber gC is the cone over the columns of g G, G the chamber's
-    generators, plus the lineality line, which Ker(X) contains for bridged X.
-    So gC meets Ker(X) there exactly when the origin lies in the closed convex
-    hull of the columns of X g G: the walk whose increments g rearranges
-    (permutes and, for B and D, sign-flips).  For generic increments the count
-    is deterministic: it equals the number of arrangement regions met by a
+    The chamber gC is the cone over g's image of the chamber's rays, plus the
+    lineality line, which Ker(X) contains for bridged X.  The rays are the
+    hull points of the type's walk at the reversed unit steps J, and g J runs
+    over the group with g.  So the count is that of the g whose walk with
+    steps X g (the increments permuted and, for B and D, sign-flipped) holds
+    the origin in its closed hull.  For generic increments the count is
+    deterministic: it equals the number of arrangement regions met by a
     generic subspace of the kernel's dimension, which is the per-sample
     mechanism behind the exact absorption formulas.  Group A expects bridged
     increments (columns summing to zero).
@@ -172,6 +173,6 @@ def chamber_intersection_count(increments: np.ndarray, group: str) -> int:
     # integer increments may be degenerate: their points are exact
     if not _is_integral(inc) and np.linalg.matrix_rank(stacked, rtol=_RANK_RTOL) != min(d + lineality, n):
         raise ValueError("rank-deficient increments: general position violated")
-    pts = np.einsum("dn,gnm->gmd", inc, chamber.group_elements() @ chamber.generators())
+    pts = coef.TYPES[group].hull_points(np.einsum("dn,gnm->gmd", inc, chamber.group_elements()))
     inside, _ = hull.batch_origin_in_hull(_normalise(pts), 1e-9, closed=True)
     return int(inside.sum())

@@ -152,6 +152,13 @@ def test_joint_and_wendel_families_are_products_of_factors():
             assert (wendel.absorb, wendel.within_hypotheses) == (joint.absorb, joint.within_hypotheses)
 
 
+@pytest.mark.parametrize("steps", [(5, 7), (5,), [3], 2.0])
+def test_wendel_takes_one_integer_point_count(steps):
+    # a list is no point count: read as its length, (5, 7) would give r = 2
+    with pytest.raises(ValueError, match="^wendel takes one integer point count r$"):
+        WalkFamily("wendel", steps, 2)
+
+
 def test_step_counts_without_a_chamber_rejected():
     # a one-step bridge has no hull points, and D needs two coordinates
     for kind, steps in (("bridge-A", 1), ("walk-D", 1), ("joint-B", (3, 0)), ("wendel", 0)):

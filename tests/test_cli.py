@@ -199,6 +199,33 @@ def test_fixed_regime_without_d_is_a_usage_error(capsys):
     assert "--d" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "exact --family wendel --steps 5,7 --dim 2",
+    "simulate --model gaussian --family wendel --steps 5,7 --dim 2 --samples 100",
+])
+def test_wendel_with_a_step_list_is_a_usage_error(capsys, argv):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "wendel takes one integer point count r" in captured.err
+
+
+def test_clt_regime_uses_a_zero_d_it_is_given(capsys):
+    # a given d is used even when it is 0, which is no dimension, rather than
+    # replaced by round(u log n)
+    assert cli.main("asympt --case B --regime clt --d 0".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "dimension must be >= 1" in captured.err
+    code, out = run(capsys, *"asympt --case B --regime clt --d 3 --n-grid 1000 --format csv".split())
+    assert code == 0 and out.splitlines()[-1].startswith("1000,3,")
+
+
+def test_ld_regime_with_d_is_a_usage_error(capsys):
+    # the ld regime sets d from --x, so an echoed --d would not be the one used
+    assert cli.main("asympt --case B --regime ld --d 5 --n-grid 1000000".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--d" in captured.err
+
+
 def test_seed_random_changes_output(capsys):
     args = ("simulate", "--model", "gaussian", "--family", "walk-B", "--steps", "3",
             "--dim", "1", "--samples", "16384", "--seed", "random", "--format", "json")

@@ -61,6 +61,12 @@ GOLDEN = [
      "0ff42db4f65f04866dc8975d6405fa8cbbef4527c8ae2d9054a7c6b02b85a21f"),
     ("cone crofton --type D --n 6 --codim 3 --samples 20000 --format json",
      "6fbe6c0301599ad48709fc4b8588082f66e52d618aa1536af55659404b6579f5"),
+    # Crofton through the lineality quotient at codimension 3, and a D
+    # chamber at codimension 2
+    ("cone crofton --type A --n 5 --codim 3 --samples 20000 --format json",
+     "7d36638a4b3f8d668cd437220baec72019c2ce1e2fb4370a7f172ce7ce58cec8"),
+    ("cone crofton --type D --n 4 --codim 2 --samples 20000 --format json",
+     "6f8b79274def4b772157a46eea9026f144cc9a339f2823598164496b05d2d101"),
     ("verify --suite combinatorics",
      "7f2ebcd570c91d05bc9b12f3ebe202fe63504b96da61faec667d7a4587f5e4da"),
     ("verify --suite arrangements --format json",
@@ -70,8 +76,8 @@ GOLDEN = [
     # timings go to stderr
     ("verify --suite conic --format json",
      "d1754f3bc5a47a0acef61f1b086d7ffff3c206f417f5aac95a3504af15222a20"),
-    # criteria 6-8: kernel-chamber counts, whose ambiguous samples go to the
-    # exact cone test, and the batched hull estimates
+    # criteria 6-8: kernel-chamber counts as closed hull tests of the
+    # group-rearranged walk, and the batched hull estimates
     ("verify --suite simulation --format json",
      "499e468d882805773fc2817165dd8b7d7c9859ac0fbe0492af9e1e8b7f62b937"),
 ]

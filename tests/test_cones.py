@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression, nnls
 from scipy.special import betainc
 
-from weylhull import coefficients, cones, exactlp, verify
+from weylhull import coefficients, cones, exactlp, mc, verify
 from weylhull.arrangements import build_reflection_arrangement, characteristic_polynomial
 from weylhull.coefficients import TYPES
 
@@ -67,20 +67,40 @@ def test_chamber_group_orders():
     assert cones.WeylChamber("D", 3).group_order == 24
 
 
+def rays(chamber):
+    """Rows generating the chamber (with the lineality line for A): the
+    hull points of the type's walk at the reversed unit steps."""
+    return TYPES[chamber.kind].hull_points(np.eye(chamber.n)[None, ::-1])[0]
+
+
+def dual_basis(chamber):
+    """Columns of the dual basis of the walls, each scaled to coprime
+    integers: column j lies on every wall but wall j, on its positive side,
+    and on x_i = 0 for i up to the lineality's dimension, which fixes it
+    modulo the lineality.  Columns run from the last wall to the first."""
+    t = TYPES[chamber.kind]
+    rows = t.walls(chamber.n) + np.eye(chamber.n, dtype=int)[: t.lineality].tolist()
+    cols = []
+    for j in reversed(range(len(rows) - t.lineality)):
+        (g,) = exactlp.integer_nullspace(rows[:j] + rows[j + 1 :], chamber.n)
+        cols.append(g if np.dot(rows[j], g) > 0 else [-x for x in g])
+    return np.array(cols, dtype=float).T
+
+
 def test_generators_satisfy_inequalities():
+    # the walk's rays generate the chamber, so they lie in it
     for kind, n in [("A", 4), ("B", 4), ("D", 4)]:
         ch = cones.WeylChamber(kind, n)
-        normals = walls(ch)
-        gens = ch.generators()
-        assert np.all(normals @ gens >= -1e-12)
+        assert np.all(walls(ch) @ rays(ch).T >= -1e-12)
 
 
 @pytest.mark.parametrize("kind", "ABD")
 def test_generators_are_the_dual_basis_of_the_walls(kind):
-    # each generator lies on every wall but one, and on the positive side of that one
+    # the oracle's generators lie on every wall but one, and on the positive
+    # side of that one
     for n in range(TYPES[kind].chamber_min_n, 8):
         ch = cones.WeylChamber(kind, n)
-        pairing = walls(ch) @ ch.generators()
+        pairing = walls(ch) @ dual_basis(ch)
         scale = pairing.max(axis=0)
         assert np.all(scale >= 1) and np.array_equal(scale, np.round(scale))
         perm = pairing / scale
@@ -88,6 +108,28 @@ def test_generators_are_the_dual_basis_of_the_walls(kind):
         assert np.all(perm.sum(axis=0) == 1) and np.all(perm.sum(axis=1) == 1)
         if ch.lineality() is not None:
             assert np.all(walls(ch) @ ch.lineality() == 0)
+
+
+def _modulo_lineality(ch, vectors):
+    # rows projected onto the complement of the lineality line
+    line = ch.lineality()
+    if line is None:
+        return vectors
+    return vectors - np.outer(vectors @ line, line) / (line @ line)
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_walk_rays_generate_the_chamber(kind):
+    # cone(rays) + L = cone(dual basis) + L = C: the rays lie in C, and each
+    # dual-basis generator is a positive multiple of a ray modulo L
+    for n in range(TYPES[kind].chamber_min_n, 7):
+        ch = cones.WeylChamber(kind, n)
+        r = rays(ch)
+        assert np.all(walls(ch) @ r.T >= -1e-12)
+        r = _modulo_lineality(ch, r)
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        for g in _modulo_lineality(ch, dual_basis(ch).T):
+            assert np.isclose((r @ g).max(), np.linalg.norm(g), rtol=1e-12, atol=0), (kind, n, g)
 
 
 @pytest.mark.parametrize("kind", "ABD")
@@ -160,7 +202,7 @@ def test_projection_is_the_moreau_decomposition(kind, n, data):
     residual = y - p
     assert np.all(walls(ch) @ p >= -1e-9 * size)
     assert abs(residual @ p) <= 1e-9 * max(size, 1.0) ** 2
-    assert np.all(ch.generators().T @ residual <= 1e-9 * size)
+    assert np.all(rays(ch) @ residual <= 1e-9 * size)
     if ch.lineality() is not None:
         assert abs(residual @ ch.lineality()) <= 1e-9 * size
     assert dsq == pytest.approx(float(residual @ residual), abs=1e-12 * max(size, 1.0) ** 2)
@@ -294,6 +336,28 @@ def test_crofton_matches_half_tail():
         est = cones.crofton_mc_estimate(ch, d, 30000, seed=21)
         assert abs(est.estimate - exact) <= 5 * max(est.stderr, 1e-12)
         assert est.ambiguous_fraction < 1e-3
+
+
+@pytest.mark.parametrize("kind, n", [("A", 4), ("B", 4), ("D", 5)])
+def test_crofton_hits_on_the_raw_frame_equal_those_on_its_qr_frame(kind, n, monkeypatch):
+    # hull membership is invariant under the invertible R^T that
+    # orthonormalising each Gaussian frame would divide out
+    ch = cones.WeylChamber(kind, n)
+    raw = {(d, seed): cones.crofton_mc_estimate(ch, d, 4000, seed=seed) for d in (1, 2, 3) for seed in (3, 8)}
+
+    class QRFrames:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, shape):
+            return np.linalg.qr(self.rng.standard_normal(shape))[0]
+
+    real = mc.run_bernoulli_chunks
+    monkeypatch.setattr(mc, "run_bernoulli_chunks", lambda samples, seed, chunk, **kw: real(
+        samples, seed, lambda rng, size: chunk(QRFrames(rng), size), **kw))
+    for (d, seed), est in raw.items():
+        assert cones.crofton_mc_estimate(ch, d, 4000, seed=seed) == est
+        assert est.ambiguous_fraction == 0.0
 
 
 def schlafli_expected_volumes(m, n):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from weylhull import exactlp, hull, mc, walks
+from weylhull import cones, exactlp, hull, mc, walks
 from weylhull.absorption import WalkFamily, absorption_probability
 from weylhull.arrangements import (Subspace, build_reflection_arrangement, count_regions_meeting_subspace,
                                    intersected_region_count, reflection_characteristic_polynomial)
@@ -264,6 +264,23 @@ def test_chamber_count_input_validation():
     dup = np.array([[0.3, 1.7, -0.4], [0.3, 1.7, -0.4]])
     with pytest.raises(ValueError):
         walks.chamber_intersection_count(dup, "B")  # rank-deficient
+
+
+def test_group_is_built_once_per_chamber_and_read_only(monkeypatch):
+    group = cones.WeylChamber("B", 4).group_elements()
+    assert cones.WeylChamber("B", 4).group_elements() is group
+    with pytest.raises(ValueError):
+        group[0, 0, 0] = 2
+    # counts from the cached group equal counts from a group built anew
+    rng = np.random.default_rng(19)
+    draws = []
+    for kind, n in (("A", 4), ("B", 4), ("D", 4)):
+        for d in range(1, n - TYPES[kind].lineality + 1):
+            inc = rng.standard_normal((d, n))
+            draws.append((walks.make_bridge(inc) if TYPES[kind].lineality else inc, kind))
+    cached = [walks.chamber_intersection_count(inc, kind) for inc, kind in draws]
+    monkeypatch.setattr(cones.WeylChamber, "group_elements", cones.WeylChamber.group_elements.__wrapped__)
+    assert [walks.chamber_intersection_count(inc, kind) for inc, kind in draws] == cached
 
 
 def test_single_factor_families_sample_the_same_points():
