@@ -11,16 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import secrets
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import arrangements as arr_mod
-from . import asymptotics as asy
-from . import cones, mc, verify, walks
+# only what the parser and the exact commands need, so that a child of
+# `exact`, `coeffs` or `arrangement` loads no NumPy; every other module is
+# imported by the commands that use it
+from . import mc
 from .absorption import KINDS, WalkFamily, absorption_probability
 from .absorption import absorption_probability_float, non_absorption_probability_float
 from .coefficients import EXACT_N_CAP, TYPES
@@ -38,6 +36,8 @@ def _check_full_row(n: int, hint: str = "") -> None:
 
 def _seed_value(raw: str) -> int:
     if raw == "random":
+        import secrets
+
         return secrets.randbits(63)
     try:
         return mc.check_seed(int(raw))
@@ -71,8 +71,8 @@ def _json_safe(value):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
+    if hasattr(value, "tolist"):  # NumPy arrays and scalars
+        return _json_safe(value.tolist())
     return value
 
 
@@ -128,6 +128,14 @@ def _cmd_exact(args) -> int:
             "non_absorb_float": non_absorption_probability_float(family),
             "within_hypotheses": family.within_hypotheses,
         }
+        # the absorb tail is exactly 0 when n <= d + lineality; any other
+        # tail below the smallest normal double has lost accuracy or underflowed
+        exact_zero = family.n_total <= family.dimension + family.lineality
+        for key in ("absorb_float", "non_absorb_float"):
+            if result[key] < sys.float_info.min and not (exact_zero and result[key] == 0):
+                print(f"warning: {key} {result[key]!r} is below the smallest normal double and has "
+                      f"lost accuracy or underflowed; `weylhull exact` without --float gives it "
+                      f"exactly up to n={EXACT_N_CAP}", file=sys.stderr)
     else:
         res = absorption_probability(family)
         result = {
@@ -162,6 +170,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import walks
+
     family = _family_from_args(args)
     model = walks.IncrementModel(args.model, args.dim)
     config = {
@@ -200,21 +210,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_arrangement(args) -> arr_mod.Arrangement:
-    if args.file:
-        with open(args.file) as fh:
-            return arr_mod.parse_arrangement(fh.read())
-    if args.type and args.n:
-        return arr_mod.build_reflection_arrangement(args.type, args.n)
-    raise SystemExit2("arrangement commands need --file or --type with --n")
-
-
 class SystemExit2(Exception):
     """Usage error surfaced with exit code 2."""
 
 
 def _cmd_arrangement(args) -> int:
-    arr = _load_arrangement(args)
+    from . import arrangements as arr_mod
+
+    if args.file:
+        with open(args.file) as fh:
+            arr = arr_mod.parse_arrangement(fh.read())
+    elif args.type and args.n:
+        arr = arr_mod.build_reflection_arrangement(args.type, args.n)
+    else:
+        raise SystemExit2("arrangement commands need --file or --type with --n")
     config = {
         "subcommand": f"arrangement {args.action}",
         "source": args.file or f"{args.type}{args.n}",
@@ -240,6 +249,8 @@ def _cmd_arrangement(args) -> int:
 
 
 def _cmd_cone(args) -> int:
+    from . import cones
+
     config = {
         "subcommand": f"cone {args.action}",
         "type": args.type,
@@ -251,6 +262,8 @@ def _cmd_cone(args) -> int:
     if args.action == "volumes":
         result = {"v": list(v.v), "v_float": v.as_floats()}
     elif args.action == "steiner":
+        import numpy as np
+
         grid = np.linspace(0.0, 1.0, args.grid)
         config["grid"] = args.grid
         rows = [["lambda", "cdf"]]
@@ -288,10 +301,17 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_asympt(args) -> int:
+    from . import asymptotics as asy
+
     if args.regime == "fixed" and args.d is None:
         raise SystemExit2("the fixed regime needs --d")
     if args.regime == "ld" and args.d is not None:
         raise SystemExit2("the ld regime sets d from --x; it takes no --d")
+    if args.regime != "ld" and args.x is not None:
+        raise SystemExit2(f"only the ld regime uses --x; the {args.regime} regime takes none")
+    x = 0.5 if args.x is None else args.x
+    if not (math.isfinite(x) and x > 0):
+        raise SystemExit2(f"--x must be a positive finite number, got {x}")
     ns = [int(float(tok)) for tok in args.n_grid.split(",") if tok]
     case = args.case
     kind = TYPES[case].walk
@@ -301,7 +321,7 @@ def _cmd_asympt(args) -> int:
         "case": case,
         "regime": args.regime,
         "d": args.d,
-        "x": args.x,
+        "x": x,
         "n_grid": args.n_grid,
         "format": args.format,
     }
@@ -314,7 +334,7 @@ def _cmd_asympt(args) -> int:
             d = args.d if args.d is not None else round(u * math.log(n))
             approx, side = asy.clt_approximation(case, n, d), "non-absorb"
         else:  # ld
-            d = max(1, round(args.x * u * math.log(n)))
+            d = max(1, round(x * u * math.log(n)))
             approx, side = asy.large_deviation_asymptotic(case, n, d)
         tail = absorption_probability_float if side == "absorb" else non_absorption_probability_float
         exact = tail(WalkFamily(kind, n, d))
@@ -325,6 +345,8 @@ def _cmd_asympt(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     config = {
         "subcommand": "verify",
         "suite": args.suite,
@@ -394,12 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_coeffs)
 
     p = sub.add_parser("simulate", help="Monte Carlo absorption estimate")
-    p.add_argument("--model", choices=walks.MODEL_FAMILIES, required=True)
+    p.add_argument("--model", choices=mc.MODEL_FAMILIES, required=True)
     p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--steps", type=_steps_value, required=True)
     p.add_argument("--dim", type=int, required=True)
     add_sampling(p)
-    p.add_argument("--tol", type=float, default=walks.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=mc.DEFAULT_TOL)
     add_common(p)
     p.set_defaults(fn=_cmd_simulate)
 
@@ -426,13 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=tuple(TYPES), required=True)
     p.add_argument("--regime", choices=("fixed", "clt", "ld"), required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--x", type=float, default=0.5, help="tail parameter for the ld regime")
+    # None marks an --x that was not given; the ld regime then uses 0.5
+    p.add_argument("--x", type=float, default=None, help="tail parameter for the ld regime")
     p.add_argument("--n-grid", default="1000,10000,100000,1000000")
     add_common(p)
     p.set_defaults(fn=_cmd_asympt)
 
     p = sub.add_parser("verify", help="self-verification suites")
-    p.add_argument("--suite", choices=tuple(verify.SUITES), default="all")
+    p.add_argument("--suite", choices=tuple(mc.SUITES), default="all")
     add_sampling(p)
     add_common(p, formats=("json", "plain"))
     p.set_defaults(fn=_cmd_verify)

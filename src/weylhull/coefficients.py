@@ -28,9 +28,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: largest total n for which exact rows and prefixes are computed
 EXACT_N_CAP = 5000
@@ -146,7 +147,10 @@ def _chain(n: int) -> list[tuple[int, ...]]:
 
 def _reflected_walk_points(inc: np.ndarray) -> np.ndarray:
     """The partial sums and S_{n-1} - X_n, the endpoint with its last step reflected."""
-    s = np.cumsum(inc, axis=1)
+    # imported here so that the exact paths never load NumPy
+    import numpy as np
+
+    s = inc.cumsum(axis=1)
     star = s[:, -2, :] - inc[:, -1, :]
     return np.concatenate([s, star[:, None, :]], axis=1)
 
@@ -158,14 +162,14 @@ TYPES = {
             "A", roots=lambda n: (range(n),), order=math.factorial, min_n=1,
             lineality=1, u=1.0, mirrors=lambda n: _pairs(n, -1), walls=_chain, walk="bridge-A",
             # the centred walk's final sum is 0 by construction, so it is dropped
-            hull_points=lambda inc: np.cumsum(inc - inc.mean(axis=1, keepdims=True), axis=1)[:, :-1],
+            hull_points=lambda inc: (inc - inc.mean(axis=1, keepdims=True)).cumsum(axis=1)[:, :-1],
         ),
         ReflectionType(
             "B", roots=lambda n: (range(1, 2 * n, 2),),
             order=lambda n: 2**n * math.factorial(n), min_n=1, lineality=0, u=0.5,
             mirrors=lambda n: _units(n) + _pairs(n, -1) + _pairs(n, 1),
             walls=lambda n: _units(n)[:1] + _chain(n), walk="walk-B",
-            hull_points=lambda inc: np.cumsum(inc, axis=1),
+            hull_points=lambda inc: inc.cumsum(axis=1),
         ),
         ReflectionType(
             "D", roots=lambda n: (range(1, 2 * n - 2, 2), range(n - 1, n)),
@@ -237,6 +241,9 @@ def product_pmf(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -> n
     """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
+    # imported here so that the exact paths never load NumPy
+    import numpy as np
+
     # enough power sums for the log1p series, whose terms fall like HEAD^-j
     jmax = max(kmax, math.ceil(53 / math.log2(HEAD)) + 1)
     power = np.zeros(jmax + 1)
@@ -266,7 +273,8 @@ def product_pmf(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -> n
 def _odds_power_sums(run: range, jmax: int) -> np.ndarray:
     """s[j] = sum of r^-j over the run for j = 1..jmax (s[0] = 0), from the
     digamma and Hurwitz-zeta functions at start / step."""
-    # imported here so that the exact paths never load SciPy
+    # imported here so that the exact paths never load NumPy or SciPy
+    import numpy as np
     from scipy import special as sp
 
     q, m, step = run.start / run.step, len(run), float(run.step)

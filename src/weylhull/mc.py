@@ -4,21 +4,43 @@ Sampling is split into fixed-size chunks, each driven by a Philox generator
 keyed on (seed, stream index).  Chunk tallies combine by addition, so the
 result depends only on the master seed and the sample count, never on how
 many workers processed the chunks.
+
+The seed, sampling and suite constants live here, and the module loads no
+NumPy until a generator is made, so the command-line parser reads them
+without loading NumPy.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: samples per RNG stream; fixed so results are reproducible across runs
 CHUNK = 1 << 14
 
 #: default master seed for bare invocations
 DEFAULT_SEED = 20200408
+
+#: the increment models that ``walks`` samples
+MODEL_FAMILIES = ("gaussian", "uniform-sphere", "heavy-tail", "lattice-simple")
+
+#: default hull-membership tolerance band
+DEFAULT_TOL = 1e-10
+
+#: verify suite -> the acceptance criteria it runs, in order
+SUITES = {
+    "combinatorics": (1, 2),
+    "arrangements": (3, 4),
+    "conic": (5, 9, 10),
+    "simulation": (6, 7, 8),
+    "asymptotics": (11, 12, 13),
+}
+SUITES["all"] = tuple(sorted(k for ks in SUITES.values() for k in ks))
 
 
 def check_seed(seed: int) -> int:
@@ -45,6 +67,9 @@ def check_threads(threads: int) -> int:
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for one chunk of work."""
+    # imported here so that the exact paths never load NumPy
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=check_seed(seed) * 2**64 + stream))
 
 
@@ -121,5 +146,5 @@ def run_bernoulli_chunks(
     hits = sum(t[0] for t in tallies)
     ambiguous = sum(t[1] for t in tallies)
     p = hits / samples
-    stderr = scale * float(np.sqrt(p * (1.0 - p) / samples))
+    stderr = scale * math.sqrt(p * (1.0 - p) / samples)
     return MCEstimate(scale * p, stderr, samples, seed, ambiguous / samples)

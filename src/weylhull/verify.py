@@ -26,6 +26,7 @@ from .absorption import (
     wendel_probability,
 )
 from .coefficients import TYPES
+from .mc import SUITES
 
 
 @dataclass(frozen=True)
@@ -337,26 +338,25 @@ def check_fixed_dimension_trend(**_) -> list[CheckResult]:
     return out
 
 
-#: number -> (name, check, suite)
+#: number -> (name, check, suite), each suite read from ``mc.SUITES``
 CRITERIA = {
-    1: ("one-dimensional identities", check_one_dimensional_identities, "combinatorics"),
-    2: ("Wendel equivalence", check_wendel, "combinatorics"),
-    3: ("region-count oracle", check_region_counts, "arrangements"),
-    4: ("subspace-count oracle", check_subspace_counts, "arrangements"),
-    5: ("Klivans-Swartz", check_klivans_swartz, "conic"),
-    6: ("kernel-chamber constancy", check_kernel_chambers, "simulation"),
-    7: ("distribution-freeness", check_distribution_freeness, "simulation"),
-    8: ("lattice lower bound", check_lattice_lower_bound, "simulation"),
-    9: ("Crofton Monte Carlo", check_crofton, "conic"),
-    10: ("Steiner Monte Carlo", check_steiner, "conic"),
-    11: ("critical window", check_critical_window, "asymptotics"),
-    12: ("large deviations", check_large_deviations, "asymptotics"),
-    13: ("fixed-dimension trend", check_fixed_dimension_trend, "asymptotics"),
+    k: (name, check, next(suite for suite, ks in SUITES.items() if k in ks))
+    for k, (name, check) in {
+        1: ("one-dimensional identities", check_one_dimensional_identities),
+        2: ("Wendel equivalence", check_wendel),
+        3: ("region-count oracle", check_region_counts),
+        4: ("subspace-count oracle", check_subspace_counts),
+        5: ("Klivans-Swartz", check_klivans_swartz),
+        6: ("kernel-chamber constancy", check_kernel_chambers),
+        7: ("distribution-freeness", check_distribution_freeness),
+        8: ("lattice lower bound", check_lattice_lower_bound),
+        9: ("Crofton Monte Carlo", check_crofton),
+        10: ("Steiner Monte Carlo", check_steiner),
+        11: ("critical window", check_critical_window),
+        12: ("large deviations", check_large_deviations),
+        13: ("fixed-dimension trend", check_fixed_dimension_trend),
+    }.items()
 }
-
-SUITES = {suite: tuple(k for k, c in CRITERIA.items() if c[2] == suite)
-          for _, _, suite in CRITERIA.values()}
-SUITES["all"] = tuple(CRITERIA)
 
 
 def run_criterion(

@@ -17,11 +17,7 @@ from . import coefficients as coef
 from . import hull, mc
 from .absorption import WalkFamily
 from .cones import WeylChamber
-
-MODEL_FAMILIES = ("gaussian", "uniform-sphere", "heavy-tail", "lattice-simple")
-
-#: default hull-membership tolerance band
-DEFAULT_TOL = 1e-10
+from .mc import DEFAULT_TOL, MODEL_FAMILIES
 
 #: singular values below this fraction of the largest count as zero
 _RANK_RTOL = 1e-10

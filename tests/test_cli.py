@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -13,8 +14,8 @@ import pytest
 
 from test_cli_golden import GOLDEN
 from weylhull import arrangements as arr_mod
-from weylhull import cli, coefficients, cones, verify
-from weylhull.absorption import WalkFamily, absorption_probability
+from weylhull import cli, coefficients, cones, mc, verify, walks
+from weylhull.absorption import WalkFamily, absorption_probability, absorption_probability_float
 from weylhull.coefficients import EXACT_N_CAP, b_prefix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -226,6 +227,45 @@ def test_ld_regime_with_d_is_a_usage_error(capsys):
     assert captured.out == "" and "--d" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # only ld reads --x, so an echoed x would not be the one used
+    ("asympt --case B --regime clt --x 3 --n-grid 1000 --format csv", "only the ld regime uses --x"),
+    ("asympt --case A --regime fixed --d 2 --x 0.5 --n-grid 1000", "only the ld regime uses --x"),
+] + [(f"asympt --case B --regime ld --x {x} --n-grid 1000", "--x must be a positive finite number")
+     for x in ("-1", "0", "nan", "inf")])
+def test_x_is_the_ld_regimes_positive_tail_parameter(capsys, argv, message):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_ld_regime_defaults_to_x_one_half(capsys):
+    base = "asympt --case D --regime ld --n-grid 1000,100000 --format csv".split()
+    code, out = run(capsys, *base)
+    assert code == 0 and "# x=0.5" in out.splitlines()
+    assert run(capsys, *base, "--x", "0.5") == (0, out)
+
+
+@pytest.mark.parametrize("kind, d", [("walk-B", 165), ("bridge-A", 183), ("walk-B", 199)])
+def test_float_tails_below_the_smallest_normal_double_warn(capsys, kind, d):
+    # 2.97e-319 (relative error 5e-5), 2e-323 (off by 1/3) and 0.0 (exact about 10^-434.8)
+    family = WalkFamily(kind, 200, d)
+    assert cli.main(["exact", "--family", kind, "--steps", "200", "--dim", str(d), "--float"]) == 0
+    out, err = capsys.readouterr()
+    printed = float(next(l.split(": ")[1] for l in out.splitlines() if l.startswith("absorb_float: ")))
+    assert printed == absorption_probability_float(family) < sys.float_info.min
+    assert printed != absorption_probability(family).absorb > 0
+    [line] = err.splitlines()
+    assert "absorb_float" in line and "smallest normal double" in line and "without --float" in line
+
+
+@pytest.mark.parametrize("kind, d", [("walk-B", 29), ("walk-B", 200), ("bridge-A", 199)])
+def test_normal_or_exactly_zero_float_tails_do_not_warn(capsys, kind, d):
+    # n <= d + lineality makes the absorb tail exactly 0, which the float route prints exactly
+    assert cli.main(["exact", "--family", kind, "--steps", "200", "--dim", str(d), "--float"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_seed_random_changes_output(capsys):
     args = ("simulate", "--model", "gaussian", "--family", "walk-B", "--steps", "3",
             "--dim", "1", "--samples", "16384", "--seed", "random", "--format", "json")
@@ -318,9 +358,16 @@ def _fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-_NO_SCIPY_UNTIL_FLOAT = """
+_NO_NUMPY_UNTIL_SAMPLING = """
 import contextlib, hashlib, io, sys
+
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+
+import weylhull
+assert not loaded("numpy", "scipy"), loaded("numpy", "scipy")[:5]
 from weylhull import cli
+assert not loaded("numpy", "scipy"), loaded("numpy", "scipy")[:5]
 
 def run(argv):
     out = io.StringIO()
@@ -331,11 +378,12 @@ def run(argv):
 for argv in ("exact --family walk-B --steps 10 --dim 2",
              "exact --family bridge-A --steps 9 --dim 2 --format json",
              "coeffs --type B --n 60 --kmax 3",
-             "arrangement charpoly --type D --n 4",
-             "cone volumes --type D --n 4"):
+             "arrangement charpoly --type D --n 4"):
     run(argv)
-    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    assert not loaded, (argv, loaded[:5])
+    assert not loaded("numpy", "scipy"), (argv, loaded("numpy", "scipy")[:5])
+# cone volumes loads NumPy through cones, but not SciPy
+run("cone volumes --type D --n 4")
+assert not loaded("scipy"), loaded("scipy")[:5]
 out = run(sys.argv[1])
 assert "scipy.special" in sys.modules
 print(hashlib.sha256(out.encode()).hexdigest())
@@ -343,10 +391,45 @@ print(hashlib.sha256(out.encode()).hexdigest())
 
 
 def test_exact_paths_run_without_scipy():
-    # a module-level SciPy import would cost every CLI child most of its start-up
+    # a module-level NumPy or SciPy import would cost every CLI child most of its start-up
     argv = "exact --family walk-B --steps 100000 --dim 2 --float"
-    proc = _fresh(_NO_SCIPY_UNTIL_FLOAT, argv)
+    proc = _fresh(_NO_NUMPY_UNTIL_SAMPLING, argv)
     assert proc.stdout.strip() == dict(GOLDEN)[argv]
+
+
+_HASH_STDOUT = """
+import contextlib, hashlib, io, sys
+from weylhull import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(sys.argv[1:]) == 0
+assert "numpy" in sys.modules
+print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_simulate_imports_what_it_samples_with():
+    # the sampling modules are imported by the command, not when cli loads
+    argv = "simulate --model gaussian --family walk-B --steps 6 --dim 2 --samples 20000 --format json"
+    assert _fresh(_HASH_STDOUT, *argv.split()).stdout.strip() == dict(GOLDEN)[argv]
+
+
+def test_parser_reads_the_library_constants():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def option(command, flag):
+        return next(a for a in commands[command]._actions if flag in a.option_strings)
+
+    assert option("simulate", "--model").choices == walks.MODEL_FAMILIES
+    assert option("simulate", "--tol").default == walks.DEFAULT_TOL
+    assert tuple(option("verify", "--suite").choices) == tuple(verify.SUITES)
+    for command in ("simulate", "cone", "verify"):
+        assert option(command, "--seed").default == mc.DEFAULT_SEED
+    # each criterion sits in the one suite its record names, and "all" runs them in order
+    assert verify.SUITES["all"] == tuple(verify.CRITERIA)
+    for number, (_, _, suite) in verify.CRITERIA.items():
+        assert [s for s, ks in verify.SUITES.items() if number in ks] == [suite, "all"]
 
 
 _SIMULATE = """
