@@ -162,7 +162,7 @@ def one_dimensional_reference(kind: str, n: int) -> Fraction:
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
-def _float_tails(family: WalkFamily) -> tuple[float, float]:
+def float_tails(family: WalkFamily) -> tuple[float, float]:
     """(absorb, non_absorb) in floating point, each summed from its own side
     of one pmf so that a tiny tail is never the complement of a large one.
 
@@ -183,8 +183,8 @@ def _float_tails(family: WalkFamily) -> tuple[float, float]:
 
 def absorption_probability_float(family: WalkFamily) -> float:
     """Floating-point absorption probability; the large-n evaluation path."""
-    return _float_tails(family)[0]
+    return float_tails(family)[0]
 
 
 def non_absorption_probability_float(family: WalkFamily) -> float:
-    return _float_tails(family)[1]
+    return float_tails(family)[1]

@@ -19,7 +19,7 @@ from fractions import Fraction
 # `exact`, `coeffs` or `arrangement` loads no NumPy; every other module is
 # imported by the commands that use it
 from . import mc
-from .absorption import KINDS, WalkFamily, absorption_probability
+from .absorption import KINDS, WalkFamily, absorption_probability, float_tails
 from .absorption import absorption_probability_float, non_absorption_probability_float
 from .coefficients import EXACT_N_CAP, TYPES
 
@@ -123,9 +123,10 @@ def _cmd_exact(args) -> int:
         "format": args.format,
     }
     if args.float_mode:
+        absorb, non_absorb = float_tails(family)
         result = {
-            "absorb_float": absorption_probability_float(family),
-            "non_absorb_float": non_absorption_probability_float(family),
+            "absorb_float": absorb,
+            "non_absorb_float": non_absorb,
             "within_hypotheses": family.within_hypotheses,
         }
         # the absorb tail is exactly 0 when n <= d + lineality; any other
@@ -334,7 +335,11 @@ def _cmd_asympt(args) -> int:
             d = args.d if args.d is not None else round(u * math.log(n))
             approx, side = asy.clt_approximation(case, n, d), "non-absorb"
         else:  # ld
-            d = max(1, round(x * u * math.log(n)))
+            d = round(x * u * math.log(n))
+            if d < 1:
+                # nothing is printed before the table is complete
+                raise SystemExit2(f"--x {x} gives d = round(x u log n) = 0 at n={n}; "
+                                  f"the ld regime needs d >= 1, so raise --x or n")
             approx, side = asy.large_deviation_asymptotic(case, n, d)
         tail = absorption_probability_float if side == "absorb" else non_absorption_probability_float
         exact = tail(WalkFamily(kind, n, d))

@@ -228,7 +228,7 @@ def crofton_mc_estimate(
         return mc.MCEstimate(0.5, 0.0, mc.check_samples(samples), seed, 0.0)
     rays = t.hull_points(np.eye(n)[None, ::-1])[0]
     line = chamber.lineality()
-    band = _CROFTON_BAND * max(1.0, float(np.linalg.norm(rays, axis=1).max()))
+    band = _CROFTON_BAND * max(1.0, float(hull.row_norms(rays).max()))
 
     def chunk(rng: np.random.Generator, size: int) -> tuple[int, int]:
         g = rng.standard_normal((size, n, d))
@@ -252,7 +252,7 @@ def sample_sphere_distances(
 
     def chunk(rng: np.random.Generator, size: int) -> np.ndarray:
         g = rng.standard_normal((size, chamber.n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g /= hull.row_norms(g)[:, None]
         return project_onto_weyl_chamber(chamber, g)[1]
 
     return np.concatenate(mc.run_chunks(samples, seed, chunk))

@@ -15,6 +15,29 @@ import numpy as np
 #: Frank-Wolfe steps of the vectorized separation bound for d >= 3
 _FW_STEPS = 8
 
+#: NumPy sums a reduction axis shorter than this one term at a time and a
+#: longer one pairwise, in eight partial sums; only below it does a
+#: column-by-column sum give the same bits
+_SEQUENTIAL_SUM_WIDTH = 8
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of a float array, bit for bit
+    np.linalg.norm(x, axis=-1).
+
+    Below _SEQUENTIAL_SUM_WIDTH columns the squares are summed column by
+    column, in the order NumPy's reduction adds them, which avoids the
+    reduction's slow inner loop over a short axis; wider or empty rows go
+    through np.linalg.norm itself.
+    """
+    width = x.shape[-1]
+    if not 0 < width < _SEQUENTIAL_SUM_WIDTH:
+        return np.linalg.norm(x, axis=-1)
+    sq = np.square(x[..., 0])
+    for j in range(1, width):
+        sq += np.square(x[..., j])
+    return np.sqrt(sq, out=sq)
+
 
 def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Min-norm point of conv(points) by nonnegative least squares.
@@ -30,7 +53,7 @@ def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     from scipy.optimize import nnls
 
     pts = np.asarray(points, dtype=float)
-    scaled = pts / (np.linalg.norm(pts, axis=1).max() or 1.0)
+    scaled = pts / (row_norms(pts).max() or 1.0)
     y, _ = nnls(np.vstack([scaled.T, np.ones(len(pts))]), np.eye(pts.shape[1] + 1)[-1])
     lam = y / y.sum()
     x = lam @ pts
@@ -68,8 +91,8 @@ def batch_origin_in_hull_2d(
     lies on a segment between two antipodal directions: boundary, so inside
     in closed mode and ambiguous in open mode.
     """
-    norms = np.linalg.norm(points, axis=2)
-    tiny = norms.min(axis=1) <= band
+    rmin = row_norms(points).min(axis=1)
+    tiny = rmin <= band
     ang = np.sort(np.arctan2(points[:, :, 1], points[:, :, 0]), axis=1)
     gaps = np.diff(ang, axis=1)
     wrap = 2.0 * np.pi - (ang[:, -1] - ang[:, 0])
@@ -77,7 +100,7 @@ def batch_origin_in_hull_2d(
     # angular safety margin: a point at distance r moves its angle by about
     # band/r under a band-sized perturbation
     with np.errstate(divide="ignore"):
-        angtol = np.where(norms.min(axis=1) > 0, band / np.maximum(norms.min(axis=1), band), np.inf)
+        angtol = np.where(rmin > 0, band / np.maximum(rmin, band), np.inf)
     if closed:
         inside = (maxgap <= np.pi + angtol) | tiny
         return inside, np.zeros(len(points), dtype=bool)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -124,6 +123,10 @@ def run_chunks(
     jobs = list(enumerate(sizes))
     nworkers = min(resolve_threads(threads), len(jobs))
     if nworkers > 1:
+        # imported here so that a serial run, and every exact command, loads
+        # no thread pool (nor the logging it pulls in)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             return list(pool.map(work, jobs))
     return [work(j) for j in jobs]

@@ -51,7 +51,8 @@ def _draw_batch(model: IncrementModel, rng: np.random.Generator, count: int, n: 
         return rng.standard_normal((count, n, d))
     if model.family == "uniform-sphere":
         g = rng.standard_normal((count, n, d))
-        return g / np.linalg.norm(g, axis=2, keepdims=True)
+        g /= hull.row_norms(g)[:, :, None]
+        return g
     if model.family == "heavy-tail":
         # componentwise standard Cauchy: symmetric, no finite moments
         return rng.standard_cauchy((count, n, d))
@@ -89,9 +90,11 @@ def _normalise(pts: np.ndarray) -> np.ndarray:
 
     Hull membership is scale-invariant, so this makes a hull test's band
     relative (heavy-tail samples span many orders of magnitude); dividing in
-    place keeps a single copy of the stack alive during the test.
+    place keeps a single copy of the stack alive during the test.  The norms
+    are hull.row_norms, the same bits as np.linalg.norm over the last axis
+    in one pass over each column.
     """
-    scale = np.linalg.norm(pts, axis=2).max(axis=1)
+    scale = hull.row_norms(pts).max(axis=1)
     pts /= np.maximum(scale, 1e-300)[:, None, None]
     return pts
 

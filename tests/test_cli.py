@@ -239,6 +239,16 @@ def test_x_is_the_ld_regimes_positive_tail_parameter(capsys, argv, message):
     assert captured.out == "" and message in captured.err
 
 
+def test_ld_regime_rounding_to_d_zero_is_a_usage_error(capsys):
+    # round(x u log n) = round(0.01 * 0.5 * log 1000) = 0 is no dimension; it
+    # is rejected with the n it occurs at, not tabulated as d = 1
+    assert cli.main("asympt --case B --regime ld --x 0.01 --n-grid 1000".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n=1000" in captured.err and "d = round(x u log n) = 0" in captured.err
+    assert cli.main("asympt --case B --regime ld --x 0.5 --n-grid 1000,100000,1".split()) == 2
+    assert "n=1;" in capsys.readouterr().err
+
+
 def test_ld_regime_defaults_to_x_one_half(capsys):
     base = "asympt --case D --regime ld --n-grid 1000,100000 --format csv".split()
     code, out = run(capsys, *base)
@@ -332,6 +342,21 @@ def test_exact_past_the_cap_is_a_usage_error(capsys, argv):
     assert "use the float route" in captured.err
 
 
+def test_exact_float_computes_the_pmf_once(capsys, monkeypatch):
+    # one float_tails call serves both tails
+    calls = []
+    product_pmf = coefficients.product_pmf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return product_pmf(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "product_pmf", counted)
+    code, out = run(capsys, *"exact --family walk-B --steps 2000 --dim 2 --float".split())
+    assert code == 0 and "absorb_float: " in out
+    assert len(calls) == 1
+
+
 def test_float_tails_print_as_probabilities(capsys):
     # the large tail once printed as 1.0000000000000009 here
     code, out = run(capsys, "exact", "--family", "walk-B", "--steps", "200", "--dim", "29", "--float",
@@ -381,6 +406,8 @@ for argv in ("exact --family walk-B --steps 10 --dim 2",
              "arrangement charpoly --type D --n 4"):
     run(argv)
     assert not loaded("numpy", "scipy"), (argv, loaded("numpy", "scipy")[:5])
+    # nor the thread pool, which only a multi-threaded sampling run starts
+    assert "concurrent.futures" not in sys.modules, argv
 # cone volumes loads NumPy through cones, but not SciPy
 run("cone volumes --type D --n 4")
 assert not loaded("scipy"), loaded("scipy")[:5]

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +90,34 @@ def test_min_norm_point_certificates(pts):
     tol = 1e-10
     if not tol < dist / scale < 100 * tol:
         assert (dist <= tol * scale) == _origin_in_hull_lp(pts / scale)
+
+
+@st.composite
+def _norm_stacks(draw):
+    """(N, m, w) stacks with w = 1..12 of Cauchy entries, about a fifth of
+    the rows zero, each row scaled by 10^k for k in [-300, 300], so that
+    squares underflow to 0 and overflow to inf."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(1, 8))
+    w = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_cauchy((n, m, w)) * 10.0 ** rng.integers(-300, 301, size=(n, m, 1))
+    x[rng.random((n, m)) < 0.2] = 0.0
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_norm_stacks())
+@example(np.zeros((3, 2, 5)))
+@example(np.array([[[1e200, 1e200, 0.0], [3e-200, 4e-200, 0.0], [1e300, -1e-300, 1e5]]]))
+def test_row_norms_equal_numpys_norm_bit_for_bit(x):
+    with np.errstate(over="ignore"):
+        want = np.linalg.norm(x, axis=-1)
+        # the stack, a view with reversed rows and columns, and one 2-D slice
+        for view in (x, x[::-1, :, ::-1]):
+            got = hull.row_norms(view)
+            assert got.dtype == want.dtype and np.array_equal(got, np.linalg.norm(view, axis=-1))
+        assert np.array_equal(hull.row_norms(x.reshape(-1, x.shape[-1])), want.reshape(-1))
 
 
 def test_batch_matches_single_solver():
@@ -212,7 +242,8 @@ def test_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     def chunk(rng, size):
         return size, 0
 
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+    # run_chunks imports the pool from concurrent.futures only when it needs one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     for samples, threads in ((2 * mc.CHUNK + 1, 64), (5 * mc.CHUNK, 2), (mc.CHUNK, 64), (3 * mc.CHUNK, 1)):
         assert mc.run_bernoulli_chunks(samples, 5, chunk, threads=threads).estimate == 1.0
     assert workers == [3, 2]
