@@ -1,28 +1,26 @@
 """Exact absorption probabilities for convex hulls of random walks and bridges.
 
-The probability that the origin lands inside the convex hull of the partial
-sums is a parity-tail sum over one of the coefficient families in
-:mod:`weylhull.coefficients`, divided by the order of the matching reflection
-group.  Everything here is distribution-free: only the step count, the
-dimension, and the symmetry type enter.
+Each family's roots hold a root 1, and type A one zero root per bridge (its
+lineality L), so the chamber's row is t^L (t + 1) R(t).  The paper's sum of
+every other coefficient of the row, over the group order |G|, is then a lower
+tail: non_absorb = (R_0 + ... + R_{d-1}) / (|G| / 2) = P(Y <= d - 1), where Y
+sums independent Bernoulli(1/(1 + r)) over R's roots, ``coefficients.tail_roots``,
+whose prod (1 + r) is |G| / 2.  A has its root 1 from n >= 2, its smallest
+chamber; for r one-step walks Y is r - 1 fair coins (Wendel).  Only the step
+count, the dimension, and the symmetry type enter.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from . import coefficients as coef
-
-#: largest n for which the absorb-side tail is recomputed from the full row
-#: as an internal cross-check of the parity identity
-_CROSS_CHECK_CAP = 200
 
 #: below this the float absorb is summed directly over the upper tail
 #: instead of taken as 1 - non_absorb, which would cancel
 _DIRECT_ABSORB = 1e-3
-#: degrees above start that the direct upper sum covers
+#: terms of the pmf from d up that the direct upper sum covers
 _UPPER_MARGIN = 40
 
 #: kind -> steps -> the family's factors, one (type, steps) pair per
@@ -99,46 +97,18 @@ class AbsorptionResult:
             raise ValueError("absorption probability outside [0, 1]")
 
 
-def _parity_tail(values: Sequence[int], start: int) -> int:
-    """values[start] + values[start+2] + ... (missing indices count as 0)."""
-    return sum(values[k] for k in range(start, len(values), 2))
-
-
-def _prefix_parity_tail(prefix: Sequence[int], start: int) -> int:
-    """prefix[start] + prefix[start-2] + ... down to index >= 0."""
-    return sum(prefix[k] for k in range(start, -1, -2))
-
-
-def _clamp_same_parity(start: int, n: int) -> int:
-    """Largest index <= n with the same parity as start (indices above n are 0)."""
-    if start <= n:
-        return start
-    return n if (start - n) % 2 == 0 else n - 1
-
-
 def absorption_probability(family: WalkFamily) -> AbsorptionResult:
     """Exact absorption probability for the given walk family.
 
     Outside the formula's hypotheses (e.g. n < d) it is still
     evaluated and the result is flagged via ``within_hypotheses``.
     """
-    n, d = family.n_total, family.dimension
-    # the non-absorb side indexes downward from d - 1 plus the lineality, so
-    # it only ever needs a short prefix of the row; the absorb side follows
-    # by complement
-    lo_start = d - 1 + family.lineality
-    start = _clamp_same_parity(lo_start, n)
-    prefix = coef.product_prefix(family.factors, start)
-    non_absorb = Fraction(2 * _prefix_parity_tail(prefix, start), family.group_order)
-    absorb = 1 - non_absorb
-    if n <= _CROSS_CHECK_CAP and family.within_hypotheses:
-        row = coef.product_prefix(family.factors, n)
-        direct = Fraction(2 * _parity_tail(row, lo_start + 2), family.group_order)
-        if direct != absorb:
-            raise AssertionError(
-                f"parity identity violated for {family}: {direct} vs {absorb}"
-            )
-    return AbsorptionResult(absorb, non_absorb, family, family.within_hypotheses)
+    coef.check_exact_n(family.n_total)
+    runs = coef.tail_roots(family.factors)
+    # coefficients past the number of roots are 0
+    prefix = coef.product_prefix(runs, min(family.dimension - 1, sum(map(len, runs))))
+    non_absorb = Fraction(2 * sum(prefix), family.group_order)
+    return AbsorptionResult(1 - non_absorb, non_absorb, family, family.within_hypotheses)
 
 
 def wendel_probability(r: int, d: int) -> Fraction:
@@ -163,19 +133,18 @@ def one_dimensional_reference(kind: str, n: int) -> Fraction:
 
 
 def float_tails(family: WalkFamily) -> tuple[float, float]:
-    """(absorb, non_absorb) in floating point, each summed from its own side
-    of one pmf so that a tiny tail is never the complement of a large one.
-
-    Each parity class of the Bernoulli sum holds exactly 1/2 (every type has
-    a root with p = 1/2), so absorb is also twice the parity sum above start.
+    """(absorb, non_absorb) in floating point from one pmf of Y, the sum of
+    Bernoulli(1/(1 + r)) over ``coefficients.tail_roots``: non_absorb is
+    P(Y <= d - 1), the sum of pmf[:d].  A tiny absorb is summed directly over
+    pmf[d:d + _UPPER_MARGIN] so that it is never the complement of a large tail.
     """
-    n = family.n_total
-    start = _clamp_same_parity(family.dimension - 1 + family.lineality, n)
-    pmf = coef.product_pmf(family.factors, min(start + _UPPER_MARGIN, n))
-    non_absorb = 2.0 * float(pmf[start::-2].sum())
+    d = family.dimension
+    runs = coef.tail_roots(family.factors)
+    pmf = coef.product_pmf(runs, min(d - 1 + _UPPER_MARGIN, sum(map(len, runs))))
+    non_absorb = float(pmf[:d].sum())
     absorb = 1.0 - non_absorb
     if absorb < _DIRECT_ABSORB:
-        absorb = 2.0 * float(pmf[start + 2::2].sum())
+        absorb = float(pmf[d:d + _UPPER_MARGIN].sum())
         # the large tail as the complement of the small one stays in [0, 1]
         non_absorb = 1.0 - absorb
     return absorb, non_absorb

@@ -322,7 +322,7 @@ def _cmd_asympt(args) -> int:
         "case": case,
         "regime": args.regime,
         "d": args.d,
-        "x": x,
+        **({"x": x} if args.regime == "ld" else {}),
         "n_grid": args.n_grid,
         "format": args.format,
     }

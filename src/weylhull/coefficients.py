@@ -14,13 +14,13 @@ The row divided by the group order is the chamber's conic intrinsic volume
 vector, and the rest of the package reads group orders, mirrors, chamber
 walls, lineality, asymptotic scale, walk family and hull points from the same
 record.  A product of chambers, one factor per independent walk, has the
-product of the factors' rows; ``product_prefix`` expands it over all their
-roots at once.
+product of the factors' rows.  ``product_prefix`` expands prod (t + r) over
+any runs of roots: a type's for its row, ``tail_roots`` for a tail.
 
 Exact rows are arbitrary-precision integers.  The float twin of
-``product_prefix`` is ``product_pmf``: one pmf over the roots of any product
-of factors, of the sum of independent Bernoulli(p) with p = 1/(1 + r), whose
-k-th entry is coefficient k divided by prod (1 + r).
+``product_prefix`` is ``product_pmf``: the pmf, over the same runs, of the
+sum of independent Bernoulli(p) with p = 1/(1 + r), whose k-th entry is
+coefficient k divided by prod (1 + r).
 """
 from __future__ import annotations
 
@@ -115,12 +115,13 @@ class ReflectionType:
 
     def row(self, n: int) -> CoefficientVector:
         """Coefficients of prod_i (t + r_i)."""
-        return CoefficientVector(product_prefix(((self, n),), n))
+        return CoefficientVector(self.prefix(n, n))
 
     def prefix(self, n: int, kmax: int) -> tuple[int, ...]:
         """The row's coefficients 0..kmax in O(n * kmax) big-int operations:
         what makes exact low-index tail sums cheap at n in the thousands."""
-        return product_prefix(((self, n),), kmax)
+        self.check(n)
+        return product_prefix(self.roots(n), kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -189,33 +190,48 @@ def reflection_type(name: str) -> ReflectionType:
     return TYPES[name]
 
 
+def check_exact_n(n: int) -> None:
+    """Exact rows, prefixes and tails are capped at EXACT_N_CAP total steps."""
+    if n > EXACT_N_CAP:
+        raise ExactModeCapError(f"exact computation capped at n={EXACT_N_CAP}; "
+                                f"got n={n} (use the float route for large n)")
+
+
+def tail_roots(factors: tuple[tuple[ReflectionType, int], ...]) -> tuple[range, ...]:
+    """The roots of an absorption tail: every factor's runs without the zero
+    roots (factors t of the row) and without exactly one root 1 (a factor
+    t + 1).  Runs ascend, so a zero root, then a root 1, comes first."""
+    runs, unit = [], False
+    for t, n in factors:
+        t.check(n)
+        for run in t.roots(n):
+            if run and run[0] == 0:
+                run = run[1:]
+            if run and run[0] == 1 and not unit:
+                run, unit = run[1:], True
+            runs.append(run)
+    if not unit:
+        raise ValueError("an absorption tail needs a root 1")
+    return tuple(runs)
+
+
 @lru_cache(maxsize=128)
-def product_prefix(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -> tuple[int, ...]:
-    """Coefficients 0..kmax of the product of the rows of the (type, n)
-    factors, i.e. of prod (t + r) over all the factors' roots.
+def product_prefix(runs: tuple[range, ...], kmax: int) -> tuple[int, ...]:
+    """Coefficients 0..kmax of prod (t + r) over the roots r of the runs.
 
     One recurrence serves full rows (kmax = number of roots) and truncated
     prefixes: each root updates c_k <- r c_k + c_{k-1} in place, top index
-    first, so a prefix costs O(n * kmax) big-int operations.  The factors'
-    total n is capped at EXACT_N_CAP.
+    first, so a prefix costs O(n * kmax) big-int operations.  The number of
+    roots is capped at EXACT_N_CAP.
     """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
-    total = sum(n for _, n in factors)
-    if total > EXACT_N_CAP:
-        raise ExactModeCapError(
-            f"exact computation capped at n={EXACT_N_CAP}; "
-            f"got n={total} (use the float route for large n)"
-        )
+    check_exact_n(sum(map(len, runs)))
     row = [1] + [0] * kmax
-    i = 0
-    for t, n in factors:
-        t.check(n)
-        for r in itertools.chain(*t.roots(n)):
-            i += 1
-            for k in range(min(i, kmax), 0, -1):
-                row[k] = r * row[k] + row[k - 1]
-            row[0] *= r
+    for i, r in enumerate(itertools.chain(*runs), 1):
+        for k in range(min(i, kmax), 0, -1):
+            row[k] = r * row[k] + row[k - 1]
+        row[0] *= r
     return tuple(row)
 
 
@@ -224,9 +240,9 @@ def product_prefix(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -
 HEAD = 64
 
 
-def product_pmf(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -> np.ndarray:
-    """pmf[0..kmax] of the sum of independent Bernoulli(1/(1 + r)) over all
-    the factors' roots: the float twin of ``product_prefix``, whose
+def product_pmf(runs: tuple[range, ...], kmax: int) -> np.ndarray:
+    """pmf[0..kmax] of the sum of independent Bernoulli(1/(1 + r)) over the
+    roots r of the runs: the float twin of ``product_prefix``, whose
     coefficient k divided by prod (1 + r) it is.
 
     The first HEAD roots of each run convolve the pmf with Bernoulli(p),
@@ -248,17 +264,15 @@ def product_pmf(factors: tuple[tuple[ReflectionType, int], ...], kmax: int) -> n
     jmax = max(kmax, math.ceil(53 / math.log2(HEAD)) + 1)
     power = np.zeros(jmax + 1)
     head = np.ones(1)
-    for t, n in factors:
-        t.check(n)
-        for run in t.roots(n):
-            # Newton's identities lose accuracy as k nears the number of odds,
-            # so a run whose tail is short next to kmax stays in the recurrence
-            cut = HEAD if len(run) > HEAD + 2 * kmax else len(run)
-            for r in run[:cut]:
-                p = 1.0 / (1.0 + r)
-                head = np.convolve(head, (1.0 - p, p))[:kmax + 1]
-            if len(run) > cut:
-                power += _odds_power_sums(run[cut:], jmax)
+    for run in runs:
+        # Newton's identities lose accuracy as k nears the number of odds,
+        # so a run whose tail is short next to kmax stays in the recurrence
+        cut = HEAD if len(run) > HEAD + 2 * kmax else len(run)
+        for r in run[:cut]:
+            p = 1.0 / (1.0 + r)
+            head = np.convolve(head, (1.0 - p, p))[:kmax + 1]
+        if len(run) > cut:
+            power += _odds_power_sums(run[cut:], jmax)
     # signed[j] = (-1)^(j-1) s_j: e_k = sum_j signed[j] e_(k-j) / k, and
     # log prod (1 - p) = sum_j (-1)^j s_j / j
     signed = (-1.0) ** np.arange(1, jmax + 2) * power

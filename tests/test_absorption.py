@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylhull import coefficients as coef
 from weylhull.absorption import (
     WalkFamily,
     absorption_probability,
@@ -117,6 +120,86 @@ def test_exact_absorb_is_a_probability_decreasing_in_d(family):
     vals = [absorption_probability(WalkFamily(*family, d)).absorb for d in range(1, 13)]
     assert all(0 <= v <= 1 for v in vals)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def _full_row(factors):
+    """The family's whole row: the product of its factors' rows."""
+    row = [1]
+    for t, n in factors:
+        out = [0] * (len(row) + n)
+        for (i, x), (j, y) in itertools.product(enumerate(row), enumerate(t.row(n).coeffs)):
+            out[i + j] += x * y
+        row = out
+    return row
+
+
+def _assert_parity_sums(fam, row):
+    # the paper's form: 2 / |G| times the row's coefficients d - 1 + L,
+    # d - 3 + L, ... for non_absorb and d + 1 + L, d + 3 + L, ... for absorb
+    start = fam.dimension - 1 + fam.lineality
+    res = absorption_probability(fam)
+    assert res.non_absorb == Fraction(2 * sum(row[k] for k in range(start, -1, -2) if k < len(row)),
+                                      fam.group_order)
+    assert res.absorb == Fraction(2 * sum(row[start + 2::2]), fam.group_order)
+
+
+def _families_up_to(nmax):
+    for kind in ("bridge-A", "walk-B", "walk-D"):
+        for n in range(coef.TYPES[kind[-1]].chamber_min_n, nmax + 1):
+            yield kind, n
+    for k in (1, 2, 3):
+        for steps in itertools.combinations_with_replacement((1, 2, 3, 7, 12), k):
+            if sum(steps) <= nmax:
+                yield "joint-B", steps
+    for r in range(1, nmax + 1):
+        yield "wendel", r
+
+
+def test_tails_equal_the_parity_sums_of_the_full_row():
+    # every d up to two past n, so the absorb tail also reaches 0
+    for kind, steps in _families_up_to(30):
+        fam = WalkFamily(kind, steps, 1)
+        row = _full_row(fam.factors)
+        for d in range(1, fam.n_total + 3):
+            _assert_parity_sums(WalkFamily(kind, steps, d), row)
+
+
+_families_to_200 = st.one_of(
+    st.builds(lambda kind, n: (kind, n), st.sampled_from(("bridge-A", "walk-D")), st.integers(2, 200)),
+    st.builds(lambda n: ("walk-B", n), st.integers(1, 200)),
+    st.builds(lambda ns: ("joint-B", tuple(ns)), st.lists(st.integers(1, 66), min_size=1, max_size=3)),
+    st.builds(lambda r: ("wendel", r), st.integers(1, 200)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families_to_200, st.data())
+def test_tails_equal_the_parity_sums_up_to_n_200(family, data):
+    fam = WalkFamily(*family, 1)
+    d = data.draw(st.integers(1, fam.n_total + 2))
+    _assert_parity_sums(WalkFamily(*family, d), _full_row(fam.factors))
+
+
+def test_tail_roots_drop_the_zero_roots_and_one_unit_root():
+    a, b, d = coef.TYPES["A"], coef.TYPES["B"], coef.TYPES["D"]
+    assert coef.tail_roots(((a, 5),)) == (range(2, 5),)
+    assert coef.tail_roots(((b, 4),)) == (range(3, 8, 2),)
+    assert coef.tail_roots(((d, 2),)) == (range(0), range(1, 2))
+    assert coef.tail_roots(((b, 1),) * 3) == (range(0), range(1, 2), range(1, 2))
+    with pytest.raises(ValueError, match="root 1"):
+        coef.tail_roots(((a, 1),))
+
+
+def test_float_tail_past_the_exact_cap_matches_its_closed_form():
+    # walk-B, d = 2: Y sums Bernoulli(1/(2k)) over k = 2..n, so
+    # P(Y <= 1) = 2 C(2n, n) / 4^n * (1 + sum_{k=2}^{n} 1/(2k - 1))
+    n = 10**5
+    with decimal.localcontext(decimal.Context(prec=50)):
+        one = decimal.Decimal(1)
+        p0 = 2 * math.prod((one * (2 * k - 1) / (2 * k) for k in range(1, n + 1)), start=one)
+        want = p0 * (1 + sum(one / (2 * k - 1) for k in range(2, n + 1)))
+    got = non_absorption_probability_float(WalkFamily("walk-B", n, 2))
+    assert abs(decimal.Decimal(got) - want) <= decimal.Decimal("1e-12") * want
 
 
 def test_one_dimensional_references():

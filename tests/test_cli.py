@@ -249,6 +249,18 @@ def test_ld_regime_rounding_to_d_zero_is_a_usage_error(capsys):
     assert "n=1;" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("regime", ["fixed --d 2", "clt"])
+def test_only_the_ld_regime_echoes_x(capsys, regime):
+    # the fixed and clt regimes use no x, so their configs name none
+    base = f"asympt --case B --regime {regime} --n-grid 1000 --format".split()
+    code, out = run(capsys, *base, "json")
+    assert code == 0 and "x" not in json.loads(out)["config"]
+    code, out = run(capsys, *base, "csv")
+    assert code == 0 and not any(line.startswith("# x=") for line in out.splitlines())
+    code, out = run(capsys, *"asympt --case B --regime ld --n-grid 1000 --format json".split())
+    assert code == 0 and json.loads(out)["config"]["x"] == 0.5
+
+
 def test_ld_regime_defaults_to_x_one_half(capsys):
     base = "asympt --case D --regime ld --n-grid 1000,100000 --format csv".split()
     code, out = run(capsys, *base)
@@ -331,6 +343,9 @@ def test_coeffs_past_digit_limit_round_trip(capsys):
 @pytest.mark.parametrize("argv", [
     "exact --family walk-B --steps {n} --dim 2",
     "exact --family joint-B --steps 2500,{rest} --dim 2 --format json",
+    # a tail drops the zero and unit roots, but the cap still counts steps
+    "exact --family bridge-A --steps {n} --dim 2",
+    "exact --family wendel --steps {n} --dim 2",
     "coeffs --type B --n {n} --kmax 3",
 ])
 def test_exact_past_the_cap_is_a_usage_error(capsys, argv):

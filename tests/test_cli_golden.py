@@ -23,7 +23,7 @@ GOLDEN = [
     ("exact --family joint-B --steps 3,4 --dim 2 --format json",
      "c6ef1b1e4d92877f20968ce1f701dd1c105cdd9f3601b9301e158a8ff327e470"),
     ("exact --family walk-B --steps 100000 --dim 2 --float",
-     "fca683c5d787ebf139fae61982b331bd86a0c7df5a1a75067c1741926be88799"),
+     "7567e1f872719c3954eb0265e92b650fc382b10bb98275618b067f69676b0516"),
     ("coeffs --type A --n 8",
      "6db45c02fe9e35cf11977a2f8cf302f953b42f8a13d13b39eaea4108255a5264"),
     ("coeffs --type B --n 60 --kmax 3 --format json",
@@ -43,9 +43,9 @@ GOLDEN = [
     ("cone crofton --type B --n 3 --codim 2 --samples 20000 --format json",
      "94a610c71d02e61d0b6019520ab0f332c27bca944bb64589371825b5707bafed"),
     ("asympt --case A --regime fixed --d 2 --format csv",
-     "dab06caa580b4391e23661e98fb6cb39f67e4d158ec2f2a5f7b156d69ca3abe2"),
+     "6321eb6d4334d5e1fdcc21dc1237ec1044ab7afd6a8e6a6c755d0481d9f26815"),
     ("asympt --case B --regime clt --format json",
-     "33b640f4935a19b7d4506bf783d8448404ca0e4d4db1f8422f7805957f6874e3"),
+     "ff1fac956fa164882a6581c9727def51dbf1f28393fd2b082d398e1a53323b22"),
     ("asympt --case A --regime ld --x 2.0",
      "3324fe53a4acb15d0e94f8eefe231551f872f1aa89f148353125cc4e8c179b32"),
     ("asympt --case D --regime ld --x 0.5 --format csv",

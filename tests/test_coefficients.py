@@ -65,17 +65,18 @@ def test_exact_cap_enforced():
     cap = coef.EXACT_N_CAP
     with pytest.raises(coef.ExactModeCapError):
         coef.stirling_row(cap + 1)
-    # prefixes and products share the check, on the factors' total n
+    # prefixes and products share the check, on the runs' total number of roots
     with pytest.raises(coef.ExactModeCapError, match="use the float route"):
         coef.b_prefix(cap + 1, 2)
+    b, d = coef.TYPES["B"], coef.TYPES["D"]
     with pytest.raises(coef.ExactModeCapError):
-        coef.product_prefix(((coef.TYPES["B"], cap // 2), (coef.TYPES["D"], cap - cap // 2 + 1)), 2)
-    assert len(coef.product_prefix(((coef.TYPES["B"], cap // 2), (coef.TYPES["D"], cap - cap // 2)), 2)) == 3
+        coef.product_prefix(b.roots(cap // 2) + d.roots(cap - cap // 2 + 1), 2)
+    assert len(coef.product_prefix(b.roots(cap // 2) + d.roots(cap - cap // 2), 2)) == 3
 
 
 def test_product_row_two_walks():
     # generating product of B2 and B1 rows
-    got = coef.product_prefix(((coef.TYPES["B"], 2), (coef.TYPES["B"], 1)), 3)
+    got = coef.product_prefix(coef.TYPES["B"].roots(2) + coef.TYPES["B"].roots(1), 3)
     b2, b1 = coef.b_row(2).coeffs, coef.b_row(1).coeffs
     expect = [0] * (len(b2) + len(b1) - 1)
     for i, x in enumerate(b2):
@@ -131,12 +132,12 @@ def test_poisson_binomial_matches_convolution():
     # the same oracle checks each type's float route, p_i = 1/(1 + r_i)
     for t in coef.TYPES.values():
         want = poisson_binomial_pmf([1 / (1 + r) for run in t.roots(9) for r in run]).pmf
-        assert coef.product_pmf(((t, 9),), 9) == pytest.approx(want, abs=1e-12)
+        assert coef.product_pmf(t.roots(9), 9) == pytest.approx(want, abs=1e-12)
 
 
 def test_family_pmf_matches_exact_row():
     n = 40
-    pmf = coef.product_pmf(((coef.TYPES["B"], n),), 6)
+    pmf = coef.product_pmf(coef.TYPES["B"].roots(n), 6)
     row = coef.b_row(n).coeffs
     order = 2**n * math.factorial(n)
     for k in range(7):
@@ -144,6 +145,6 @@ def test_family_pmf_matches_exact_row():
 
 
 def test_family_pmf_large_n_normalizes():
-    pmf = coef.product_pmf(((coef.TYPES["A"], 10**6),), 10)
+    pmf = coef.product_pmf(coef.TYPES["A"].roots(10**6), 10)
     assert np.all(pmf >= 0)
     assert pmf.sum() < 1.0

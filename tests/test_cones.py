@@ -391,8 +391,8 @@ def test_klivans_swartz_fails_against_a_wrong_row_above_the_whitney_cap(monkeypa
     # exceed the Whitney cap
     real = coefficients.product_prefix
 
-    def swapped(factors, kmax):
-        row = list(real(factors, kmax))
+    def swapped(runs, kmax):
+        row = list(real(runs, kmax))
         row[0], row[2] = row[2], row[0]
         return tuple(row)
 
