@@ -4,15 +4,16 @@ Characteristic polynomials come from deletion and restriction, region counts
 from the alternating evaluation at -1, and regions themselves from
 sign-vector enumeration by the same deletion step, which solves no LP.
 Whitney's subset expansion stays as an independent, capped oracle for the
-characteristic polynomial.  Everything is integer or Fraction arithmetic;
-nothing here depends on floating point.
+characteristic polynomial; it skips each subtree whose next normal lies in
+the span of those already taken, because such a subtree cancels to 0.
+Everything is integer or Fraction arithmetic; nothing here depends on
+floating point.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import exactlp
@@ -148,6 +149,11 @@ def whitney_characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynom
 
     chi(t) = sum over subsets S of (-1)^#S t^(n - rank S); ranks accumulate
     incrementally along an include/exclude recursion over one shared echelon.
+    Normal i is reduced against the echelon before the recursion branches on
+    it.  If it lies in the span of the normals included so far, leaving it
+    out and putting it in reach the same echelon with opposite signs, so the
+    subtree sums to 0 (a sign-reversing involution) and is skipped.  The sum
+    reads only the normals: no deletion, restriction or closed form.
     """
     if arr.size > WHITNEY_CAP:
         raise CapExceededError(f"Whitney sum capped at {WHITNEY_CAP} hyperplanes")
@@ -159,13 +165,13 @@ def whitney_characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynom
         if i == len(normals):
             signed[len(echelon)] += size_sign
             return
-        rec(i + 1, echelon, size_sign)
         step = exactlp.reduce_row(echelon, normals[i])
         if step is None:
-            # dependent normal: rank unchanged, only the sign alternates
-            rec(i + 1, echelon, -size_sign)
-        else:
-            rec(i + 1, echelon + [step], -size_sign)
+            # a normal in the span changes no later rank, so leaving it out
+            # and putting it in cancel term by term
+            return
+        rec(i + 1, echelon, size_sign)
+        rec(i + 1, echelon + [step], -size_sign)
 
     rec(0, [], 1)
     a = []
@@ -259,10 +265,17 @@ def _witnesses(arr: Arrangement) -> dict[tuple[int, ...], tuple[int, ...]]:
         x = [sum(yi * b[j] for yi, b in zip(y, basis)) for j in range(n)]
         gx = [_dot(g.normal, x) for g in rest.hyperplanes]
         gh = [_dot(g.normal, h) for g in rest.hyperplanes]
-        t = min((Fraction(abs(a), abs(b)) for a, b in zip(gx, gh) if b), default=Fraction(2)) / 2
+        # t = p / 2q with p / q the least |g.x| / |g.h|, found by
+        # cross-multiplying, or t = 1 when no g meets h
+        ratios = [(abs(a), abs(b)) for a, b in zip(gx, gh) if b]
+        p, q = ratios[0] if ratios else (2, 1)
+        for a, b in ratios:
+            if a * q < p * b:
+                p, q = a, b
         sigma = tuple(1 if a > 0 else -1 for a in gx)
         for s in (1, -1):
-            regions[sigma + (s,)] = tuple(exactlp.primitive_row([a + s * t * b for a, b in zip(x, h)]))
+            # 2q x +- p h, a positive multiple of x +- t h
+            regions[sigma + (s,)] = tuple(exactlp.primitive_row([2 * q * a + s * p * b for a, b in zip(x, h)]))
     return regions
 
 

@@ -24,6 +24,7 @@ coefficient k divided by prod (1 + r).
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -253,7 +254,10 @@ def product_pmf(runs: tuple[range, ...], kmax: int) -> np.ndarray:
     elementary symmetric functions e_k of the odds without cancelling,
     because the odds are small, and log prod (1 - p) = -sum log(1 + x) is the
     log1p series of the same power sums.  The two parts are independent, so
-    their pmfs convolve.
+    their pmfs convolve.  Equal runs are grouped: a run repeated c times
+    builds its head pmf once and raises it to the c-th power by squaring,
+    and adds c times its power sums, so Wendel's r one-root runs take
+    O(log r) convolutions.
     """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
@@ -264,15 +268,20 @@ def product_pmf(runs: tuple[range, ...], kmax: int) -> np.ndarray:
     jmax = max(kmax, math.ceil(53 / math.log2(HEAD)) + 1)
     power = np.zeros(jmax + 1)
     head = np.ones(1)
-    for run in runs:
+    # a Counter keeps the runs' first-seen order
+    for run, count in collections.Counter(runs).items():
         # Newton's identities lose accuracy as k nears the number of odds,
         # so a run whose tail is short next to kmax stays in the recurrence
         cut = HEAD if len(run) > HEAD + 2 * kmax else len(run)
+        # a run met once convolves straight into the head, which keeps the
+        # bits of families without repeated runs
+        pmf = head if count == 1 else np.ones(1)
         for r in run[:cut]:
             p = 1.0 / (1.0 + r)
-            head = np.convolve(head, (1.0 - p, p))[:kmax + 1]
+            pmf = np.convolve(pmf, (1.0 - p, p))[:kmax + 1]
+        head = pmf if count == 1 else _times_power(head, pmf, count, kmax)
         if len(run) > cut:
-            power += _odds_power_sums(run[cut:], jmax)
+            power += count * _odds_power_sums(run[cut:], jmax)
     # signed[j] = (-1)^(j-1) s_j: e_k = sum_j signed[j] e_(k-j) / k, and
     # log prod (1 - p) = sum_j (-1)^j s_j / j
     signed = (-1.0) ** np.arange(1, jmax + 2) * power
@@ -282,6 +291,21 @@ def product_pmf(runs: tuple[range, ...], kmax: int) -> np.ndarray:
     for k in range(1, kmax + 1):
         e[k] = np.dot(e[k - 1::-1], signed[1:k + 1]) / k
     return np.convolve(head, math.exp(log_q) * e)[:kmax + 1]
+
+
+def _times_power(head: np.ndarray, base: np.ndarray, count: int, kmax: int) -> np.ndarray:
+    """head convolved with count copies of base, truncated to kmax + 1
+    terms, by binary powering."""
+    # imported here so that the exact paths never load NumPy
+    import numpy as np
+
+    while count:
+        if count & 1:
+            head = np.convolve(head, base)[:kmax + 1]
+        count >>= 1
+        if count:
+            base = np.convolve(base, base)[:kmax + 1]
+    return head
 
 
 def _odds_power_sums(run: range, jmax: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from weylhull.absorption import (
     WalkFamily,
     absorption_probability,
     absorption_probability_float,
+    float_tails,
     non_absorption_probability_float,
     one_dimensional_reference,
     wendel_probability,
@@ -200,6 +202,31 @@ def test_float_tail_past_the_exact_cap_matches_its_closed_form():
         want = p0 * (1 + sum(one / (2 * k - 1) for k in range(2, n + 1)))
     got = non_absorption_probability_float(WalkFamily("walk-B", n, 2))
     assert abs(decimal.Decimal(got) - want) <= decimal.Decimal("1e-12") * want
+
+
+def test_float_wendel_matches_its_closed_form():
+    cases = [(r, d) for r in range(1, 61) for d in range(1, r + 3)]
+    cases += [(1000, d) for d in (1, 2, 10, 200, 499, 500, 501, 990, 999, 1000, 1002)]
+    for r, d in cases:
+        absorb, non_absorb = float_tails(WalkFamily("wendel", r, d))
+        want = wendel_probability(r, d)
+        assert non_absorb == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert absorb == pytest.approx(float(1 - want), rel=1e-12, abs=0.0)
+
+
+def test_float_wendel_convolves_log_r_times(monkeypatch):
+    # r one-point factors are one run repeated r - 1 times, powered by squaring
+    calls = []
+    convolve = np.convolve
+
+    def counted(*args):
+        calls.append(None)
+        return convolve(*args)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    r = 10**5
+    float_tails(WalkFamily("wendel", r, 3))
+    assert 0 < len(calls) <= 3 * r.bit_length()
 
 
 def test_one_dimensional_references():

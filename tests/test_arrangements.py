@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import weylhull
 from weylhull import arrangements as arr_mod
 from weylhull import exactlp
+from weylhull.coefficients import reflection_type
 
 import lp_oracle
 
@@ -142,8 +143,50 @@ def test_enumeration_matches_lp_and_zaslavsky(arr):
 @example(arr_mod.Arrangement(1, ()))
 @example(arr_mod.Arrangement(3, ()))
 @example(arr_mod.Arrangement(1, (arr_mod.Hyperplane((2,)),)))
+# rank-deficient: normals (a, b, a + b) spanning a plane in R^3, and A4,
+# whose mirrors all contain the line R(1, 1, 1, 1)
+@example(arr_mod.Arrangement(3, tuple(map(arr_mod.Hyperplane, [(1, 0, 1), (0, 1, 1), (1, 1, 2), (1, -1, 0)]))))
+@example(_reflection("A", 4))
 def test_deletion_restriction_matches_whitney(arr):
     assert arr_mod.characteristic_polynomial(arr) == arr_mod.whitney_characteristic_polynomial(arr)
+
+
+def _reflections_within_the_whitney_cap():
+    cases = []
+    for kind in ("A", "B", "D"):
+        n = reflection_type(kind).chamber_min_n
+        while _reflection(kind, n).size <= arr_mod.WHITNEY_CAP:
+            cases.append((kind, n))
+            n += 1
+    return cases
+
+
+def test_every_reflection_within_the_whitney_cap_is_covered():
+    # the largest n of each kind: A7, B5 and D6 have 21, 25 and 30 mirrors
+    assert dict(_reflections_within_the_whitney_cap()) == {"A": 6, "B": 4, "D": 5}
+
+
+@pytest.mark.parametrize("kind, n", _reflections_within_the_whitney_cap())
+def test_whitney_matches_the_closed_form_and_deletion_restriction(kind, n):
+    arr = _reflection(kind, n)
+    chi = arr_mod.whitney_characteristic_polynomial(arr)
+    assert chi == arr_mod.reflection_characteristic_polynomial(kind, n)
+    assert chi == arr_mod.characteristic_polynomial(arr)
+
+
+@pytest.mark.parametrize("kind, n, bound", [("D", 4, 1000), ("B", 4, 4000)])
+def test_whitney_skips_the_subtrees_that_cancel(monkeypatch, kind, n, bound):
+    # visiting every subset reduces 2^m - 1 rows: 4,095 for D4, 65,535 for B4
+    calls = []
+    reduce_row = exactlp.reduce_row
+
+    def counted(*args):
+        calls.append(None)
+        return reduce_row(*args)
+
+    monkeypatch.setattr(exactlp, "reduce_row", counted)
+    arr_mod.whitney_characteristic_polynomial(_reflection(kind, n))
+    assert 0 < len(calls) < bound
 
 
 @settings(max_examples=150, deadline=None)
