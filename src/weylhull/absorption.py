@@ -60,7 +60,8 @@ class WalkFamily:
         factors = _FACTORS[self.kind](self.steps)
         if not factors:
             raise ValueError("need at least one walk")
-        for t, n in factors:
+        # each distinct factor is checked once: Wendel's r factors are one pair
+        for t, n in dict.fromkeys(factors):
             # fewer steps leave no chamber, e.g. a one-step bridge has no hull points
             if not isinstance(n, int) or n < t.chamber_min_n:
                 raise ValueError(f"{self.kind} needs integer step counts >= {t.chamber_min_n}")
@@ -87,7 +88,6 @@ class WalkFamily:
 class AbsorptionResult:
     absorb: Fraction
     non_absorb: Fraction
-    family: WalkFamily
     within_hypotheses: bool
 
     def __post_init__(self):
@@ -108,7 +108,7 @@ def absorption_probability(family: WalkFamily) -> AbsorptionResult:
     # coefficients past the number of roots are 0
     prefix = coef.product_prefix(runs, min(family.dimension - 1, sum(map(len, runs))))
     non_absorb = Fraction(2 * sum(prefix), family.group_order)
-    return AbsorptionResult(1 - non_absorb, non_absorb, family, family.within_hypotheses)
+    return AbsorptionResult(1 - non_absorb, non_absorb, family.within_hypotheses)
 
 
 def wendel_probability(r: int, d: int) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
+from .absorption import WalkFamily, float_tails
 from .coefficients import reflection_type
 
 #: guard band around the x = 1 singularity of the large-deviation prefactor
@@ -95,3 +96,26 @@ def large_deviation_asymptotic(case: str, n: float, d: int) -> tuple[float, str]
     value = n ** (-rate) / math.sqrt(2.0 * math.pi * x * u * math.log(n)) * _prefactor(u, x)
     side = "non-absorb" if x < 1.0 else "absorb"
     return value, side
+
+
+def regime_comparison(case: str, regime: str, n: int, d: int | None = None,
+                      x: float = 0.5) -> tuple[int, float, float]:
+    """(d, float tail, approximation) at step count n.  'fixed' needs d, 'clt'
+    takes d or sets round(u log n), and 'ld' sets d = round(x u log n) and
+    compares the smaller tail, the absorption one past x = 1."""
+    u = scale_parameter(case)
+    if regime == "ld" and d is None:
+        d = round(x * u * math.log(n))
+        if d < 1:
+            raise ValueError(f"--x {x} gives d = round(x u log n) = 0 at n={n}; "
+                             f"the ld regime needs d >= 1, so raise --x or n")
+        approx, side = large_deviation_asymptotic(case, n, d)
+    elif regime == "clt":
+        d = round(u * math.log(n)) if d is None else d
+        approx, side = clt_approximation(case, n, d), "non-absorb"
+    elif regime == "fixed" and d is not None:
+        approx, side = fixed_dimension_asymptotic(case, n, d), "non-absorb"
+    else:
+        raise ValueError(f"regime {regime!r} with d={d}: fixed needs a d and ld takes none")
+    absorb, non_absorb = float_tails(WalkFamily(reflection_type(case).walk, n, d))
+    return d, absorb if side == "absorb" else non_absorb, approx

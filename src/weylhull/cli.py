@@ -20,7 +20,6 @@ from fractions import Fraction
 # imported by the commands that use it
 from . import mc
 from .absorption import KINDS, WalkFamily, absorption_probability, float_tails
-from .absorption import absorption_probability_float, non_absorption_probability_float
 from .coefficients import EXACT_N_CAP, TYPES
 
 #: largest n for which a command builds a full exact row (``coeffs`` without
@@ -31,7 +30,7 @@ FULL_ROW_N_CAP = 2000
 
 def _check_full_row(n: int, hint: str = "") -> None:
     if n > FULL_ROW_N_CAP:
-        raise SystemExit2(f"full exact rows are capped at n={FULL_ROW_N_CAP}; got n={n}{hint}")
+        raise ValueError(f"full exact rows are capped at n={FULL_ROW_N_CAP}; got n={n}{hint}")
 
 
 def _seed_value(raw: str) -> int:
@@ -109,12 +108,8 @@ def _plain(value):
     return value
 
 
-def _family_from_args(args) -> WalkFamily:
-    return WalkFamily(args.family, args.steps, args.dim)
-
-
 def _cmd_exact(args) -> int:
-    family = _family_from_args(args)
+    family = WalkFamily(args.family, args.steps, args.dim)
     config = {
         "subcommand": "exact",
         "family": args.family,
@@ -173,7 +168,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_simulate(args) -> int:
     from . import walks
 
-    family = _family_from_args(args)
+    family = WalkFamily(args.family, args.steps, args.dim)
     model = walks.IncrementModel(args.model, args.dim)
     config = {
         "subcommand": "simulate",
@@ -187,10 +182,11 @@ def _cmd_simulate(args) -> int:
         "threads": mc.resolve_threads(args.threads),
         "format": args.format,
     }
+    # first: it draws no random numbers, and past EXACT_N_CAP it fails at once
+    exact = float(absorption_probability(family).absorb)
     est = walks.estimate_absorption(
         model, family, args.samples, seed=args.seed, tol=args.tol, threads=args.threads
     )
-    exact = float(absorption_probability(family).absorb)
     lo, hi = est.ci()
     result = {
         "family": args.family,
@@ -211,10 +207,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-class SystemExit2(Exception):
-    """Usage error surfaced with exit code 2."""
-
-
 def _cmd_arrangement(args) -> int:
     from . import arrangements as arr_mod
 
@@ -224,25 +216,23 @@ def _cmd_arrangement(args) -> int:
     elif args.type and args.n:
         arr = arr_mod.build_reflection_arrangement(args.type, args.n)
     else:
-        raise SystemExit2("arrangement commands need --file or --type with --n")
+        raise ValueError("arrangement commands need --file or --type with --n")
     config = {
         "subcommand": f"arrangement {args.action}",
         "source": args.file or f"{args.type}{args.n}",
         "format": args.format,
     }
+    if args.action == "intersect" and args.codim is None:
+        raise ValueError("intersect needs --codim")
+    chi = arr_mod.characteristic_polynomial(arr)
     if args.action == "charpoly":
-        chi = arr_mod.characteristic_polynomial(arr)
         result = {"a": list(chi.a), "regions": arr_mod.zaslavsky_region_count(chi)}
     elif args.action == "regions":
-        chi = arr_mod.characteristic_polynomial(arr)
         result = {
             "zaslavsky": arr_mod.zaslavsky_region_count(chi),
             "enumerated": len(arr_mod.enumerate_regions(arr)),
         }
     else:  # intersect
-        if args.codim is None:
-            raise SystemExit2("intersect needs --codim")
-        chi = arr_mod.characteristic_polynomial(arr)
         config["codim"] = args.codim
         result = {"count": arr_mod.intersected_region_count(chi, args.codim)}
     _emit(config, result, args.format)
@@ -274,7 +264,7 @@ def _cmd_cone(args) -> int:
         return 0
     else:  # crofton
         if args.codim is None:
-            raise SystemExit2("crofton needs --codim")
+            raise ValueError("crofton needs --codim")
         config.update(
             {
                 "codim": args.codim,
@@ -305,21 +295,18 @@ def _cmd_asympt(args) -> int:
     from . import asymptotics as asy
 
     if args.regime == "fixed" and args.d is None:
-        raise SystemExit2("the fixed regime needs --d")
+        raise ValueError("the fixed regime needs --d")
     if args.regime == "ld" and args.d is not None:
-        raise SystemExit2("the ld regime sets d from --x; it takes no --d")
+        raise ValueError("the ld regime sets d from --x; it takes no --d")
     if args.regime != "ld" and args.x is not None:
-        raise SystemExit2(f"only the ld regime uses --x; the {args.regime} regime takes none")
+        raise ValueError(f"only the ld regime uses --x; the {args.regime} regime takes none")
     x = 0.5 if args.x is None else args.x
     if not (math.isfinite(x) and x > 0):
-        raise SystemExit2(f"--x must be a positive finite number, got {x}")
+        raise ValueError(f"--x must be a positive finite number, got {x}")
     ns = [int(float(tok)) for tok in args.n_grid.split(",") if tok]
-    case = args.case
-    kind = TYPES[case].walk
-    u = asy.scale_parameter(case)
     config = {
         "subcommand": "asympt",
-        "case": case,
+        "case": args.case,
         "regime": args.regime,
         "d": args.d,
         **({"x": x} if args.regime == "ld" else {}),
@@ -328,21 +315,8 @@ def _cmd_asympt(args) -> int:
     }
     rows = [["n", "d", "exact_float", "asymptotic", "ratio"]]
     for n in ns:
-        if args.regime == "fixed":
-            d = args.d
-            approx, side = asy.fixed_dimension_asymptotic(case, n, d), "non-absorb"
-        elif args.regime == "clt":
-            d = args.d if args.d is not None else round(u * math.log(n))
-            approx, side = asy.clt_approximation(case, n, d), "non-absorb"
-        else:  # ld
-            d = round(x * u * math.log(n))
-            if d < 1:
-                # nothing is printed before the table is complete
-                raise SystemExit2(f"--x {x} gives d = round(x u log n) = 0 at n={n}; "
-                                  f"the ld regime needs d >= 1, so raise --x or n")
-            approx, side = asy.large_deviation_asymptotic(case, n, d)
-        tail = absorption_probability_float if side == "absorb" else non_absorption_probability_float
-        exact = tail(WalkFamily(kind, n, d))
+        # nothing is printed before the table is complete
+        d, exact, approx = asy.regime_comparison(args.case, args.regime, n, args.d, x)
         rows.append([n, d, f"{exact:.6e}", f"{approx:.6e}", f"{exact / approx:.6f}"])
     result = {f"n={r[0]}": dict(zip(rows[0][1:], r[1:])) for r in rows[1:]}
     _emit(config, result, args.format, csv_rows=rows)
@@ -377,8 +351,7 @@ def _cmd_verify(args) -> int:
         }
         _emit(config, payload, "json")
     else:
-        for key, val in config.items():
-            print(f"# {key}={val}")
+        _emit(config, {}, "plain")
         for number, results in report.items():
             name = verify.CRITERIA[number][0]
             bad = [r for r in results if not r.passed]
@@ -473,7 +446,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SystemExit2, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,13 +70,14 @@ class CoefficientVector:
         return iter(self.coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReflectionType:
     """One reflection type: everything else about it is derived from here.
 
     The mirror arrangement has characteristic polynomial prod_i (t - r_i), so
     the same roots give the Whitney numbers, the region counts, the chamber's
-    intrinsic volumes and the absorption tails.
+    intrinsic volumes and the absorption tails.  The records in ``TYPES`` are
+    the only ones, so a record compares and hashes by identity.
     """
 
     name: str
@@ -202,10 +203,14 @@ def tail_roots(factors: tuple[tuple[ReflectionType, int], ...]) -> tuple[range, 
     """The roots of an absorption tail: every factor's runs without the zero
     roots (factors t of the row) and without exactly one root 1 (a factor
     t + 1).  Runs ascend, so a zero root, then a root 1, comes first."""
-    runs, unit = [], False
-    for t, n in factors:
+    # each distinct factor is read once: Wendel's r factors are one pair
+    roots = {}
+    for t, n in dict.fromkeys(factors):
         t.check(n)
-        for run in t.roots(n):
+        roots[t, n] = t.roots(n)
+    runs, unit = [], False
+    for factor in factors:
+        for run in roots[factor]:
             if run and run[0] == 0:
                 run = run[1:]
             if run and run[0] == 1 and not unit:
@@ -273,13 +278,11 @@ def product_pmf(runs: tuple[range, ...], kmax: int) -> np.ndarray:
         # Newton's identities lose accuracy as k nears the number of odds,
         # so a run whose tail is short next to kmax stays in the recurrence
         cut = HEAD if len(run) > HEAD + 2 * kmax else len(run)
-        # a run met once convolves straight into the head, which keeps the
-        # bits of families without repeated runs
-        pmf = head if count == 1 else np.ones(1)
+        pmf = np.ones(1)
         for r in run[:cut]:
             p = 1.0 / (1.0 + r)
             pmf = np.convolve(pmf, (1.0 - p, p))[:kmax + 1]
-        head = pmf if count == 1 else _times_power(head, pmf, count, kmax)
+        head = _times_power(head, pmf, count, kmax)
         if len(run) > cut:
             power += count * _odds_power_sums(run[cut:], jmax)
     # signed[j] = (-1)^(j-1) s_j: e_k = sum_j signed[j] e_(k-j) / k, and

@@ -20,8 +20,6 @@ from . import cones, mc, walks
 from .absorption import (
     WalkFamily,
     absorption_probability,
-    absorption_probability_float,
-    non_absorption_probability_float,
     one_dimensional_reference,
     wendel_probability,
 )
@@ -99,18 +97,13 @@ def _chambers(nmax: int) -> list[tuple[str, int]]:
 
 def check_region_counts(seed: int = mc.DEFAULT_SEED, **_) -> list[CheckResult]:
     """Alternating-coefficient region count vs brute-force enumeration."""
+    named = [(f"{kind}{n}", arr_mod.build_reflection_arrangement(kind, n)) for kind, n in _chambers(4)]
+    named += [(f"random#{i}", arr) for i, arr in enumerate(_random_integer_arrangements(20, seed))]
     out = []
-    for kind, n in _chambers(4):
-        arr = arr_mod.build_reflection_arrangement(kind, n)
-        chi = arr_mod.whitney_characteristic_polynomial(arr)
-        pred = arr_mod.zaslavsky_region_count(chi)
+    for name, arr in named:
+        pred = arr_mod.zaslavsky_region_count(arr_mod.whitney_characteristic_polynomial(arr))
         got = len(arr_mod.enumerate_regions(arr))
-        out.append(_result(f"regions {kind}{n}", pred == got, pred, got))
-    for i, arr in enumerate(_random_integer_arrangements(20, seed)):
-        chi = arr_mod.whitney_characteristic_polynomial(arr)
-        pred = arr_mod.zaslavsky_region_count(chi)
-        got = len(arr_mod.enumerate_regions(arr))
-        out.append(_result(f"regions random#{i}", pred == got, pred, got))
+        out.append(_result(f"regions {name}", pred == got, pred, got))
     return out
 
 
@@ -289,21 +282,12 @@ def check_large_deviations(**_) -> list[CheckResult]:
     """Sharp tail formula: bounded ratio at n = 10^6 and improving trend."""
     out = []
     for x in (0.5, 2.0):
-        gaps = {}
-        ratio6 = None
+        ratios = {}
         for n in (10**4, 10**5, 10**6):
-            d = max(1, round(x * TYPES["B"].u * math.log(n)))
-            value, side = asy.large_deviation_asymptotic("B", n, d)
-            fam = WalkFamily("walk-B", n, d)
-            exact = (
-                non_absorption_probability_float(fam)
-                if side == "non-absorb"
-                else absorption_probability_float(fam)
-            )
-            ratio = exact / value
-            gaps[n] = abs(ratio - 1.0)
-            if n == 10**6:
-                ratio6 = ratio
+            _, exact, value = asy.regime_comparison("B", "ld", n, x=x)
+            ratios[n] = exact / value
+        gaps = {n: abs(ratio - 1.0) for n, ratio in ratios.items()}
+        ratio6 = ratios[10**6]
         ok = 0.5 <= ratio6 <= 2.0 and gaps[10**6] < gaps[10**4]
         out.append(
             _result(
@@ -324,8 +308,8 @@ def check_fixed_dimension_trend(**_) -> list[CheckResult]:
         for d in (2, 3):
             gaps = []
             for n in (10**3, 10**4, 10**5, 10**6):
-                exact = non_absorption_probability_float(WalkFamily(TYPES[case].walk, n, d))
-                gaps.append(abs(exact / asy.fixed_dimension_asymptotic(case, n, d) - 1.0))
+                _, exact, approx = asy.regime_comparison(case, "fixed", n, d)
+                gaps.append(abs(exact / approx - 1.0))
             ok = all(b < a for a, b in zip(gaps, gaps[1:]))
             out.append(
                 _result(

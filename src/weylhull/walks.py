@@ -125,8 +125,8 @@ def estimate_absorption(
     """
     if model.dimension != family.dimension:
         raise ValueError("model and family dimensions differ")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # also false for nan
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if family.lineality and model.family == "lattice-simple":
         raise ValueError("lattice-simple is not closed under exact centering")
     n = family.n_total

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import itertools
 import math
@@ -87,12 +88,12 @@ _small_families = st.one_of(
 )
 
 
-def _assert_float_tails_match_exact(fam):
+def _assert_float_tails_match_exact(fam, rel=1e-9):
     exact = absorption_probability(fam)
     for got, want in ((absorption_probability_float(fam), exact.absorb),
                       (non_absorption_probability_float(fam), exact.non_absorb)):
         assert got >= 0.0
-        assert got == pytest.approx(float(want), rel=1e-9, abs=0.0)
+        assert got == pytest.approx(float(want), rel=rel, abs=0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,10 +102,33 @@ def test_float_tails_match_exact_on_small_families(family, d):
     _assert_float_tails_match_exact(WalkFamily(*family, d))
 
 
+#: walks of distinct lengths: each run builds its own pmf before it joins the rest
+_DISTINCT_RUNS = [("joint-B", (18, 21), 5), ("joint-B", (100, 7), 8), ("joint-B", (4, 3, 4), 5)]
+
+
 @pytest.mark.parametrize("kind, steps, d", [
-    ("walk-B", 2000, 26), ("walk-D", 200, 21), ("walk-B", 2000, 20), ("joint-B", (300, 500, 700), 20)])
+    ("walk-B", 2000, 26), ("walk-D", 200, 21), ("walk-B", 2000, 20), ("joint-B", (300, 500, 700), 20),
+] + _DISTINCT_RUNS)
 def test_float_tails_match_exact_in_both_tails(kind, steps, d):
-    _assert_float_tails_match_exact(WalkFamily(kind, steps, d))
+    rel = 1e-13 if (kind, steps, d) in _DISTINCT_RUNS else 1e-9
+    _assert_float_tails_match_exact(WalkFamily(kind, steps, d), rel)
+
+
+@pytest.mark.parametrize("kind, steps, d, absorb, non_absorb", [
+    ("bridge-A", 50, 2, "0x1.a444105cc8d64p-1", "0x1.6eefbe8cdca6ep-3"),
+    ("bridge-A", 4900, 5, "0x1.c2a03a6ee55d4p-1", "0x1.eafe2c88d515cp-4"),
+    ("bridge-A", 10**6, 3, "0x1.ffe4cd444a7efp-1", "0x1.b32bbb5810817p-13"),
+    ("walk-B", 59, 21, "0x1.36f8fb3cee145p-61", "0x1.0000000000000p+0"),
+    ("walk-B", 10**6, 20, "0x1.354c2521adb0fp-16", "0x1.fffd9567b5bcap-1"),
+    ("walk-D", 157, 5, "0x1.43c22bf494580p-4", "0x1.d787ba816d750p-1"),
+    ("walk-D", 10**5, 10, "0x1.b636309b6a430p-5", "0x1.e49c9cf6495bdp-1"),
+    ("wendel", 60, 5, "0x1.fffffffffe221p-1", "0x1.ddef800000000p-41"),
+    ("wendel", 1000, 30, "0x1.0000000000000p+0", "0x1.8831e9d9378c1p-814"),
+])
+def test_float_tails_keep_their_bits(kind, steps, d, absorb, non_absorb):
+    # recorded bit for bit: the head recurrence, the power sums past it, the
+    # powered repeated runs and the direct upper sum of a tiny absorb tail
+    assert [x.hex() for x in float_tails(WalkFamily(kind, steps, d))] == [absorb, non_absorb]
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,6 +236,27 @@ def test_float_wendel_matches_its_closed_form():
         want = wendel_probability(r, d)
         assert non_absorb == pytest.approx(float(want), rel=1e-12, abs=0.0)
         assert absorb == pytest.approx(float(1 - want), rel=1e-12, abs=0.0)
+
+
+def test_wendel_reads_its_repeated_factor_once(monkeypatch):
+    # r one-point factors are one (B, 1) pair: its step minimum and its roots
+    # are read once, not r times
+    b, chamber_min_n = coef.TYPES["B"], coef.ReflectionType.chamber_min_n.fget
+    roots_calls, min_n_reads = [], []
+
+    def roots(n):
+        roots_calls.append(n)
+        return b.roots(n)
+
+    def counted_min_n(t):
+        min_n_reads.append(t.name)
+        return chamber_min_n(t)
+
+    monkeypatch.setitem(coef.TYPES, "B", dataclasses.replace(b, roots=roots))
+    monkeypatch.setattr(coef.ReflectionType, "chamber_min_n", property(counted_min_n))
+    r, d = 1000, 2
+    assert float_tails(WalkFamily("wendel", r, d))[1] == pytest.approx(float(wendel_probability(r, d)), rel=1e-12)
+    assert roots_calls == [1] and min_n_reads == ["B"]
 
 
 def test_float_wendel_convolves_log_r_times(monkeypatch):

@@ -127,3 +127,10 @@ def test_mod_poisson_is_mgf_limit():
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         asy.scale_parameter("E")
+
+
+@pytest.mark.parametrize("regime, d", [("fixed", None), ("ld", 3), ("Clt", 3)])
+def test_regime_comparison_rejects_a_d_its_regime_cannot_use(regime, d):
+    # fixed needs a d, and ld sets its own from x
+    with pytest.raises(ValueError, match="fixed needs a d and ld takes none"):
+        asy.regime_comparison("B", regime, 1000, d)

@@ -175,10 +175,23 @@ def test_sample_count_below_one_is_a_usage_error(capsys, argv):
     assert "samples must be >= 1" in capsys.readouterr().err
 
 
-def test_nonpositive_tol_is_a_usage_error(capsys):
-    argv = "simulate --model gaussian --family walk-B --steps 6 --dim 2 --samples 2000 --tol -1"
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_nonpositive_tol_is_a_usage_error(capsys, tol):
+    # a nan band once counted every sample as ambiguous at d = 2 and as outside at d = 3
+    argv = f"simulate --model gaussian --family walk-B --steps 6 --dim 2 --samples 2000 --tol={tol}"
     assert cli.main(argv.split()) == 2
     assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_simulate_past_the_cap_fails_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the exact reference was checked")
+
+    monkeypatch.setattr(walks, "estimate_absorption", no_sampling)
+    argv = f"simulate --model gaussian --family walk-B --steps {EXACT_N_CAP + 1} --dim 2 --samples 3000"
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"capped at n={EXACT_N_CAP}" in captured.err
 
 
 @pytest.mark.parametrize("threads, env", [("0", None), ("-4", None), (None, "0"), (None, "abc")])
