@@ -303,7 +303,10 @@ def _cmd_asympt(args) -> int:
     x = 0.5 if args.x is None else args.x
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"--x must be a positive finite number, got {x}")
-    ns = [int(float(tok)) for tok in args.n_grid.split(",") if tok]
+    grid = [float(tok) for tok in args.n_grid.split(",") if tok]
+    if not grid or not all(map(math.isfinite, grid)):
+        raise ValueError(f"--n-grid must list finite step counts; got {args.n_grid!r}")
+    ns = [int(v) for v in grid]
     config = {
         "subcommand": "asympt",
         "case": args.case,

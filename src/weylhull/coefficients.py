@@ -27,6 +27,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
@@ -207,6 +208,9 @@ def tail_roots(factors: tuple[tuple[ReflectionType, int], ...]) -> tuple[range, 
     roots = {}
     for t, n in dict.fromkeys(factors):
         t.check(n)
+        # the tails take len() of each run, which a C ssize_t must hold
+        if n > sys.maxsize:
+            raise ValueError(f"absorption tails take at most {sys.maxsize} steps per walk; got {n}")
         roots[t, n] = t.roots(n)
     runs, unit = [], False
     for factor in factors:

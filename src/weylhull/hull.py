@@ -1,12 +1,12 @@
 """Origin-in-convex-hull tests.
 
-Two layers: the min-norm point of a single point set in any dimension by
+Two layers: the min-norm points of a stack of point sets in any dimension by
 nonnegative least squares (with distance output, so callers can build
 certificates and tolerance bands), and batch deciders.  For d = 1 and d = 2
 hull membership reduces to a sign or circular-gap condition and is fully
 vectorized.  For d >= 3 a vectorized Frank-Wolfe separation bound settles the
-sets that are clearly outside, and only the rest go through min_norm_point,
-so every verdict is either certified or the one min_norm_point gives.
+sets that are clearly outside, and only the rest go through min_norm_points
+as one stack, so every verdict is either certified or the one NNLS gives.
 """
 from __future__ import annotations
 
@@ -39,25 +39,46 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Min-norm point of conv(points) by nonnegative least squares.
+def min_norm_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-norm points of the hulls of a stack of point sets, by nonnegative
+    least squares.
 
-    points has shape (m, d).  Returns (x, lam, dist) with x = lam @ points,
-    lam a full-length convex coefficient vector and dist = |x|.  The
-    minimiser y >= 0 of |P^T y|^2 + (sum(y) - 1)^2 is a positive multiple of
-    the min-norm convex weights (Lawson & Hanson, 1974); P is the points
-    divided by their largest norm, which keeps degenerate and badly scaled
-    sets well conditioned.
+    points has shape (k, m, d).  Returns (x, lam, dist) of shapes (k, d),
+    (k, m) and (k,): x_i = lam_i @ P_i, lam_i a full-length convex
+    coefficient vector and dist_i = |x_i|.  The minimiser y >= 0 of
+    |Q^T y|^2 + (sum(y) - 1)^2 is a positive multiple of the min-norm convex
+    weights (Lawson & Hanson, 1974); Q is P_i divided by its largest norm,
+    which keeps degenerate and badly scaled sets well conditioned.  All k
+    systems [Q^T; 1] are built in one array and only the solves run per set.
+    The batched products give each set the bits of lam_i @ P_i and of
+    np.linalg.norm(x_i).
     """
-    # imported here so that only the d >= 3 fallbacks load SciPy
+    # imported here so that only the d >= 3 hull tests load SciPy
     from scipy.optimize import nnls
 
     pts = np.asarray(points, dtype=float)
-    scaled = pts / (row_norms(pts).max() or 1.0)
-    y, _ = nnls(np.vstack([scaled.T, np.ones(len(pts))]), np.eye(pts.shape[1] + 1)[-1])
-    lam = y / y.sum()
-    x = lam @ pts
-    return x, lam, float(np.linalg.norm(x))
+    k, m, d = pts.shape
+    scale = row_norms(pts).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    systems = np.empty((k, d + 1, m))
+    np.divide(pts.transpose(0, 2, 1), scale[:, None, None], out=systems[:, :d])
+    systems[:, d] = 1.0
+    target = np.eye(d + 1)[-1]
+    # preallocated: the fallbacks of large chunks would otherwise hold one
+    # array per set
+    y = np.empty((k, m))
+    for i in range(k):
+        y[i], _ = nnls(systems[i], target)
+    lam = y / y.sum(axis=1, keepdims=True)
+    x = np.matmul(lam[:, None, :], pts)[:, 0]
+    return x, lam, np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
+
+
+def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Min-norm point of conv(points), points of shape (m, d): the one-set
+    case of min_norm_points, returning (x, lam, dist) with dist a float."""
+    x, lam, dist = min_norm_points(np.asarray(points, dtype=float)[None])
+    return x[0], lam[0], float(dist[0])
 
 
 def batch_origin_in_hull_1d(
@@ -145,8 +166,8 @@ def batch_origin_in_hull(
 
     For d >= 3 a sample whose separation bound is at least 100 band, plus
     1e-13 times its largest point norm for the rounding of the dot products,
-    is outside; only the others go through min_norm_point, with distance
-    <= band inside and, in open mode, distance < 100 band ambiguous.
+    is outside; the others go through min_norm_points as one stack, with
+    distance <= band inside and, in open mode, distance < 100 band ambiguous.
     """
     d = points.shape[2]
     if d == 1:
@@ -157,10 +178,9 @@ def batch_origin_in_hull(
     inside = np.zeros(n, dtype=bool)
     ambiguous = np.zeros(n, dtype=bool)
     bound, reach = _separation_bound(points)
-    for i in np.flatnonzero(~(bound >= 100.0 * band + 1e-13 * reach)):
-        _, _, dist = min_norm_point(points[i])
-        if dist <= band:
-            inside[i] = True
-        elif dist < 100.0 * band and not closed:
-            ambiguous[i] = True
+    fallback = np.flatnonzero(~(bound >= 100.0 * band + 1e-13 * reach))
+    _, _, dist = min_norm_points(points[fallback])
+    inside[fallback] = dist <= band
+    if not closed:
+        ambiguous[fallback] = (dist > band) & (dist < 100.0 * band)
     return inside, ambiguous

@@ -262,6 +262,27 @@ def test_ld_regime_rounding_to_d_zero_is_a_usage_error(capsys):
     assert "n=1;" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # a range of more than sys.maxsize roots has no len()
+    ("exact --family walk-B --steps 100000000000000000000 --dim 2 --float",
+     f"absorption tails take at most {sys.maxsize} steps per walk"),
+    ("asympt --case B --regime clt --n-grid 1e20", "absorption tails take at most"),
+    # float("1e400") is inf, which has no int
+    ("asympt --case B --regime clt --n-grid 1e400", "--n-grid must list finite step counts"),
+])
+def test_step_counts_too_large_for_the_tails_are_a_usage_error(capsys, argv, message):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_a_grid_without_step_counts_is_a_usage_error(capsys):
+    assert cli.main("asympt --case B --regime fixed --d 2 --n-grid ,".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--n-grid must list finite step counts; got ','" in captured.err
+
+
 @pytest.mark.parametrize("regime", ["fixed --d 2", "clt"])
 def test_only_the_ld_regime_echoes_x(capsys, regime):
     # the fixed and clt regimes use no x, so their configs name none

@@ -174,6 +174,43 @@ def test_batch_matches_per_sample_loop(points, band, closed):
         scale = float(np.linalg.norm(points[i], axis=1).max())
         assert reach[i] == pytest.approx(scale, rel=1e-12)
         assert bound[i] <= hull.min_norm_point(points[i])[2] + 1e-13 * scale
+    # the loop above shares the stacked solver, so the LP is the independent
+    # side: outside the ambiguity band (tol, 100 tol) its verdict is the
+    # solver's, as in test_min_norm_point_certificates
+    tol = 1e-10
+    for pts, dist in zip(points, hull.min_norm_points(points)[2]):
+        scale = float(np.linalg.norm(pts, axis=1).max()) or 1.0
+        if not tol < dist / scale < 100 * tol:
+            assert (dist <= tol * scale) == _origin_in_hull_lp(pts / scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_point_stacks())
+@example(np.zeros((0, 7, 3)))
+@example(np.zeros((2, 3, 4)))
+def test_min_norm_points_equal_the_one_set_solver_bit_for_bit(points):
+    x, lam, dist = hull.min_norm_points(points)
+    assert x.shape == points.shape[::2] and lam.shape == points.shape[:2] and dist.shape == points.shape[:1]
+    for i in range(len(points)):
+        want = hull.min_norm_point(points[i])
+        assert np.array_equal(x[i], want[0]) and np.array_equal(lam[i], want[1]) and dist[i] == want[2]
+
+
+def test_batch_decides_its_fallbacks_as_one_stack(monkeypatch):
+    # origin-centred Gaussian walks in R^3: most hulls hold the origin, so
+    # the separation bound cannot settle them
+    pts = np.cumsum(np.random.default_rng(3).standard_normal((300, 8, 3)), axis=1)
+    pts -= pts.mean(axis=1, keepdims=True)
+    bound, reach = hull._separation_bound(pts)
+    assert np.sum(~(bound >= 100.0 * 1e-10 + 1e-13 * reach)) > 100
+    want = _loop_origin_in_hull(pts, 1e-10, False)
+
+    def per_set(points):
+        raise AssertionError("a fallback went through the one-set solver")
+
+    monkeypatch.setattr(hull, "min_norm_point", per_set)
+    inside, ambiguous = hull.batch_origin_in_hull(pts, 1e-10)
+    assert np.array_equal(inside, want[0]) and np.array_equal(ambiguous, want[1])
 
 
 def test_batch_closed_counts_boundary():

@@ -4,6 +4,9 @@ The hull tests, the walk normalisation and the Crofton band compute their
 norms with hull.row_norms, which must give np.linalg.norm's bits.  These
 values were recorded with np.linalg.norm in every one of those places; an
 estimate or an ambiguous fraction that moves by one sample fails here.
+The d = 3 and 4 cases, and Crofton at codimension 3, go through the NNLS
+fallbacks of the d >= 3 hull test; they were recorded when each fallback
+was solved on its own.
 """
 import pytest
 
@@ -44,6 +47,36 @@ ABSORPTION = [
     (('joint-B', (4, 3), 2, 'uniform-sphere'), (0.45166666666666666, 0.0)),
     (('joint-B', (4, 3), 2, 'heavy-tail'), (0.44766666666666666, 0.0)),
     (('joint-B', (4, 3), 2, 'lattice-simple'), (0.6893333333333334, 0.0)),
+    (('walk-B', 7, 3, 'gaussian'), (0.03166666666666667, 0.0)),
+    (('walk-B', 7, 3, 'uniform-sphere'), (0.03666666666666667, 0.0)),
+    (('walk-B', 7, 3, 'heavy-tail'), (0.03133333333333333, 0.0)),
+    (('walk-B', 7, 3, 'lattice-simple'), (0.23733333333333334, 0.0)),
+    (('walk-D', 6, 3, 'gaussian'), (0.032, 0.0)),
+    (('walk-D', 6, 3, 'uniform-sphere'), (0.03, 0.0)),
+    (('walk-D', 6, 3, 'heavy-tail'), (0.025666666666666667, 0.0)),
+    (('walk-D', 6, 3, 'lattice-simple'), (0.25033333333333335, 0.0)),
+    (('bridge-A', 8, 3, 'gaussian'), (0.09333333333333334, 0.0)),
+    (('bridge-A', 8, 3, 'uniform-sphere'), (0.10466666666666667, 0.0)),
+    (('bridge-A', 8, 3, 'heavy-tail'), (0.102, 0.0)),
+    (('joint-B', (4, 3), 3, 'gaussian'), (0.14266666666666666, 0.0)),
+    (('joint-B', (4, 3), 3, 'uniform-sphere'), (0.14866666666666667, 0.0)),
+    (('joint-B', (4, 3), 3, 'heavy-tail'), (0.14833333333333334, 0.0)),
+    (('joint-B', (4, 3), 3, 'lattice-simple'), (0.502, 0.0)),
+    (('walk-B', 7, 4, 'gaussian'), (0.0023333333333333335, 0.0)),
+    (('walk-B', 7, 4, 'uniform-sphere'), (0.0026666666666666666, 0.0)),
+    (('walk-B', 7, 4, 'heavy-tail'), (0.004666666666666667, 0.0)),
+    (('walk-B', 7, 4, 'lattice-simple'), (0.16233333333333333, 0.0)),
+    (('walk-D', 6, 4, 'gaussian'), (0.0013333333333333333, 0.0)),
+    (('walk-D', 6, 4, 'uniform-sphere'), (0.004666666666666667, 0.0)),
+    (('walk-D', 6, 4, 'heavy-tail'), (0.004666666666666667, 0.0)),
+    (('walk-D', 6, 4, 'lattice-simple'), (0.17233333333333334, 0.0)),
+    (('bridge-A', 8, 4, 'gaussian'), (0.013666666666666667, 0.0)),
+    (('bridge-A', 8, 4, 'uniform-sphere'), (0.01633333333333333, 0.0)),
+    (('bridge-A', 8, 4, 'heavy-tail'), (0.019, 0.0)),
+    (('joint-B', (4, 3), 4, 'gaussian'), (0.035, 0.0)),
+    (('joint-B', (4, 3), 4, 'uniform-sphere'), (0.030666666666666665, 0.0)),
+    (('joint-B', (4, 3), 4, 'heavy-tail'), (0.04, 0.0)),
+    (('joint-B', (4, 3), 4, 'lattice-simple'), (0.379, 0.0)),
 ]
 
 #: (type, n, codimension) -> (estimate, ambiguous_fraction)
@@ -54,6 +87,8 @@ CROFTON = [
     (('B', 4, 2), (0.045, 0.0)),
     (('D', 4, 1), (0.25966666666666666, 0.0)),
     (('D', 4, 2), (0.0645, 0.0)),
+    (('B', 6, 3), (0.010833333333333334, 0.0)),
+    (('D', 6, 3), (0.0145, 0.0)),
 ]
 
 
