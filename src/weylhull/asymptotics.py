@@ -35,8 +35,9 @@ def fixed_dimension_asymptotic(case: str, n: float, d: int) -> float:
         raise ValueError("fixed-dimension formula needs d >= 2")
     if n < 3:
         raise ValueError("need n >= 3")
-    lead = (u * math.log(n)) ** (d - 1) / math.factorial(d - 1)
-    return 2.0 * lead / (math.gamma(u) * n**u)
+    # in log space: (u log n)^(d-1) and (d-1)! overflow a double from d ~ 170
+    log_value = (d - 1) * math.log(u * math.log(n)) - math.lgamma(d) - u * math.log(n)
+    return 2.0 * math.exp(log_value) / math.gamma(u)
 
 
 def normal_cdf(a: float) -> float:
@@ -117,5 +118,8 @@ def regime_comparison(case: str, regime: str, n: int, d: int | None = None,
         approx, side = fixed_dimension_asymptotic(case, n, d), "non-absorb"
     else:
         raise ValueError(f"regime {regime!r} with d={d}: fixed needs a d and ld takes none")
+    if approx == 0.0:
+        raise ValueError(f"the {regime} approximation underflows to 0 at n={n}, d={d}; "
+                         f"no ratio to it can be formed")
     absorb, non_absorb = float_tails(WalkFamily(reflection_type(case).walk, n, d))
     return d, absorb if side == "absorb" else non_absorb, approx

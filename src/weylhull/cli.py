@@ -224,14 +224,14 @@ def _cmd_arrangement(args) -> int:
     }
     if args.action == "intersect" and args.codim is None:
         raise ValueError("intersect needs --codim")
+    # enumeration checks ENUMERATION_CAP, so a capped `regions` exits before
+    # it computes χ, which takes seconds past the cap
+    enumerated = len(arr_mod.enumerate_regions(arr)) if args.action == "regions" else None
     chi = arr_mod.characteristic_polynomial(arr)
     if args.action == "charpoly":
         result = {"a": list(chi.a), "regions": arr_mod.zaslavsky_region_count(chi)}
     elif args.action == "regions":
-        result = {
-            "zaslavsky": arr_mod.zaslavsky_region_count(chi),
-            "enumerated": len(arr_mod.enumerate_regions(arr)),
-        }
+        result = {"zaslavsky": arr_mod.zaslavsky_region_count(chi), "enumerated": enumerated}
     else:  # intersect
         config["codim"] = args.codim
         result = {"count": arr_mod.intersected_region_count(chi, args.codim)}

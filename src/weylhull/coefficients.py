@@ -121,10 +121,14 @@ class ReflectionType:
         return CoefficientVector(self.prefix(n, n))
 
     def prefix(self, n: int, kmax: int) -> tuple[int, ...]:
-        """The row's coefficients 0..kmax in O(n * kmax) big-int operations:
-        what makes exact low-index tail sums cheap at n in the thousands."""
+        """The row's coefficients 0..min(kmax, n), from the blocked product
+        tree of ``product_prefix``: the recurrence runs only inside blocks,
+        on small numbers, and the large ones meet in balanced products, which
+        is what makes exact low-index tail sums cheap at n in the thousands.
+        n is checked against EXACT_N_CAP before any run is built."""
         self.check(n)
-        return product_prefix(self.roots(n), kmax)
+        check_exact_n(n)
+        return product_prefix(self.roots(n), min(kmax, n))
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +233,52 @@ def tail_roots(factors: tuple[tuple[ReflectionType, int], ...]) -> tuple[range, 
 def product_prefix(runs: tuple[range, ...], kmax: int) -> tuple[int, ...]:
     """Coefficients 0..kmax of prod (t + r) over the roots r of the runs.
 
-    One recurrence serves full rows (kmax = number of roots) and truncated
-    prefixes: each root updates c_k <- r c_k + c_{k-1} in place, top index
-    first, so a prefix costs O(n * kmax) big-int operations.  The number of
-    roots is capped at EXACT_N_CAP.
+    A blocked product tree.  The zero roots are factors t, so they shift
+    the indices and are never multiplied.  The other roots go in blocks of
+    max(64, 16 m^2), m the highest index left after the shift; each block
+    is expanded by the recurrence c_k <- r c_k + c_{k-1}, truncated at m,
+    and adjacent block prefixes are multiplied pairwise, truncated at m,
+    until one is left.  The products near the root of the tree multiply
+    numbers of equal size, where CPython's Karatsuba pays (Bernstein, "Fast
+    multiplication and its applications", 2008).  A full row (kmax = number
+    of roots) or fewer than 64 roots is one block, the recurrence alone.
+    The number of roots is capped at EXACT_N_CAP.
     """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
-    check_exact_n(sum(map(len, runs)))
-    row = [1] + [0] * kmax
-    for i, r in enumerate(itertools.chain(*runs), 1):
-        for k in range(min(i, kmax), 0, -1):
+    n = sum(map(len, runs))
+    check_exact_n(n)
+    roots = [r for r in itertools.chain(*runs) if r]
+    shift = n - len(roots)
+    m = min(kmax - shift, len(roots))
+    if m < 0:
+        return (0,) * (kmax + 1)
+    size = max(64, 16 * m * m)
+    polys = [_expand(roots[i:i + size], m) for i in range(0, len(roots), size)] or [[1]]
+    while len(polys) > 1:
+        polys = [_times(*polys[i:i + 2], m) if i + 1 < len(polys) else polys[i]
+                 for i in range(0, len(polys), 2)]
+    return (0,) * shift + tuple(polys[0]) + (0,) * (kmax - shift - m)
+
+
+def _expand(roots: list[int], kmax: int) -> list[int]:
+    """Coefficients 0..min(kmax, len(roots)) of prod (t + r): root i
+    updates c_k <- r c_k + c_{k-1} in place for k = min(i, kmax)..1."""
+    top = min(kmax, len(roots))
+    row = [1] + [0] * top
+    # every root past the first top reaches index top, so that range is built once
+    full = range(top, 0, -1)
+    for i, r in enumerate(roots, 1):
+        for k in range(i, 0, -1) if i < top else full:
             row[k] = r * row[k] + row[k - 1]
         row[0] *= r
-    return tuple(row)
+    return row
+
+
+def _times(a: list[int], b: list[int], kmax: int) -> list[int]:
+    """The product of two coefficient lists, truncated after index kmax."""
+    return [sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
+            for k in range(min(len(a) + len(b) - 2, kmax) + 1)]
 
 
 #: roots at the start of each run that go through the positive-term

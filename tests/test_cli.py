@@ -145,8 +145,14 @@ def test_charpoly_and_intersect_past_the_whitney_cap(capsys, kind, n):
 
 @pytest.mark.parametrize("argv", [
     "arrangement regions --type B --n 5",
+    # χ of B10 takes seconds; the cap is checked first
+    "arrangement regions --type B --n 10",
 ])
-def test_capped_arrangement_is_a_usage_error(capsys, argv):
+def test_capped_arrangement_is_a_usage_error(capsys, monkeypatch, argv):
+    def no_chi(arr):
+        raise AssertionError("χ was computed before the enumeration cap was checked")
+
+    monkeypatch.setattr(arr_mod, "characteristic_polynomial", no_chi)
     assert cli.main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -275,6 +281,37 @@ def test_step_counts_too_large_for_the_tails_are_a_usage_error(capsys, argv, mes
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a range of 2^63 roots has no len(); the cap is checked before runs are built
+    ("coeffs --type B --n 9223372036854775808 --kmax 10", "exact computation capped at n=5000"),
+    # (u log n)^(d-1) overflows a double and the whole term underflows to 0
+    ("asympt --case A --regime fixed --d 400 --n-grid 1000", "underflows to 0 at n=1000, d=400"),
+])
+def test_inputs_past_the_numeric_range_are_a_usage_error(capsys, argv, message):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_coeffs_kmax_is_clamped_to_n(capsys):
+    # [0] * kmax once raised OverflowError; a row has n + 1 coefficients
+    code, out = run(capsys, *"coeffs --type B --n 4 --kmax 100000000000000000000 --format json".split())
+    assert code == 0
+    assert json.loads(out)["result"]["coefficients"] == list(coefficients.b_row(4).coeffs)
+    code, out = run(capsys, *"coeffs --type B --n 3 --kmax 5 --format json".split())
+    assert json.loads(out)["result"]["coefficients"] == [15, 23, 9, 1]
+
+
+def test_fixed_regime_past_the_factorial_range(capsys):
+    # (d - 1)! as a float overflows from d = 172; log space keeps the term
+    code, out = run(capsys, *"asympt --case A --regime fixed --d 200 --n-grid 1000 --format csv".split())
+    assert code == 0
+    n, d, _, approx, _ = out.splitlines()[-1].split(",")
+    want = 2 * math.exp(199 * math.log(math.log(1000)) - math.lgamma(200)) / 1000
+    assert (n, d) == ("1000", "200") and float(approx) == pytest.approx(want, rel=1e-6)
 
 
 def test_a_grid_without_step_counts_is_a_usage_error(capsys):

@@ -1,9 +1,11 @@
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylhull import coefficients as coef
 
@@ -83,6 +85,38 @@ def test_product_row_two_walks():
         for j, y in enumerate(b1):
             expect[i + j] += x * y
     assert got == tuple(expect)
+
+
+def plain_prefix(roots, kmax):
+    """Coefficients 0..kmax of prod (t + r) by one recurrence over all the
+    roots, zero roots included: the oracle of the blocked product tree."""
+    row = [1] + [0] * kmax
+    for i, r in enumerate(roots, 1):
+        for k in range(min(i, kmax), 0, -1):
+            row[k] = r * row[k] + row[k - 1]
+        row[0] *= r
+    return tuple(row)
+
+
+# run lengths on either side of a block edge: the 64-root floor, and 16 m^2
+# for the highest index m that the tree keeps
+_EDGES = sorted({63, 64, 65} | {16 * m * m + e for m in range(2, 5) for e in (-1, 0, 1)})
+# ascending runs as the types and tails give them; a start of 0 is a zero root
+_RUNS = st.builds(lambda start, step, length: range(start, start + step * length, step),
+                  st.integers(0, 40), st.integers(1, 3),
+                  st.one_of(st.integers(0, 8), st.sampled_from(_EDGES)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_prefix_matches_the_plain_recurrence(data):
+    runs = data.draw(st.lists(_RUNS, max_size=3), label="runs")
+    # Wendel's family is many one-root runs, here around the 64-root floor
+    runs += [range(1, 2)] * data.draw(st.sampled_from([0, 1, 63, 64, 65]), label="one-root runs")
+    runs = tuple(runs)
+    n = sum(map(len, runs))
+    kmax = data.draw(st.one_of(st.integers(0, 5), st.integers(0, n + 2)), label="kmax")
+    assert coef.product_prefix(runs, kmax) == plain_prefix(chain(*runs), kmax)
 
 
 @dataclass(frozen=True)
