@@ -12,6 +12,7 @@ count, the dimension, and the symmetry type enter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,6 +58,9 @@ class WalkFamily:
             raise ValueError("dimension must be >= 1")
         if self.kind == "wendel" and not isinstance(self.steps, int):
             raise ValueError("wendel takes one integer point count r")
+        # its r factor pairs are one tuple, whose length a C ssize_t must hold
+        if self.kind == "wendel" and self.steps > sys.maxsize:
+            raise ValueError(f"wendel takes at most {sys.maxsize} points; got {self.steps}")
         factors = _FACTORS[self.kind](self.steps)
         if not factors:
             raise ValueError("need at least one walk")

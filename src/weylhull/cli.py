@@ -20,12 +20,15 @@ from fractions import Fraction
 # imported by the commands that use it
 from . import mc
 from .absorption import KINDS, WalkFamily, absorption_probability, float_tails
-from .coefficients import EXACT_N_CAP, TYPES
+from .coefficients import EXACT_N_CAP, TYPES, check_exact_n
 
 #: largest n for which a command builds a full exact row (``coeffs`` without
 #: ``--kmax`` and every ``cone`` action); past it a row takes many seconds,
-#: while prefixes stay cheap up to EXACT_N_CAP
+#: while prefixes stay cheap up to EXACT_N_CAP.  ``coeffs --kmax`` allows
+#: n * min(kmax, n) up to its square, the work of the largest full row
 FULL_ROW_N_CAP = 2000
+#: most lambda points ``cone steiner --grid`` evaluates
+STEINER_GRID_CAP = 10**6
 
 
 def _check_full_row(n: int, hint: str = "") -> None:
@@ -155,6 +158,13 @@ def _cmd_coeffs(args) -> int:
         "format": args.format,
     }
     if args.kmax is not None:
+        # n's own limits come first, so that their messages win
+        t.check(args.n)
+        check_exact_n(args.n)
+        if args.n * min(args.kmax, args.n) > FULL_ROW_N_CAP**2:
+            raise ValueError(f"coefficient prefixes are capped at n * min(kmax, n) = {FULL_ROW_N_CAP**2}, "
+                             f"the work of a full row capped at n={FULL_ROW_N_CAP} (pass a smaller --kmax); "
+                             f"got n={args.n}, kmax={args.kmax}")
         coeffs = list(t.prefix(args.n, args.kmax))
     else:
         _check_full_row(args.n, f" (pass --kmax for a prefix, up to n={EXACT_N_CAP})")
@@ -249,6 +259,9 @@ def _cmd_cone(args) -> int:
         "format": args.format,
     }
     _check_full_row(args.n)
+    # checked before the volumes, and before NumPy allocates the grid
+    if args.action == "steiner" and not 1 <= args.grid <= STEINER_GRID_CAP:
+        raise ValueError(f"--grid must lie in [1, {STEINER_GRID_CAP}]; got {args.grid}")
     v = cones.weyl_intrinsic_volumes(args.type, args.n)
     if args.action == "volumes":
         result = {"v": list(v.v), "v_float": v.as_floats()}
@@ -320,7 +333,7 @@ def _cmd_asympt(args) -> int:
     for n in ns:
         # nothing is printed before the table is complete
         d, exact, approx = asy.regime_comparison(args.case, args.regime, n, args.d, x)
-        rows.append([n, d, f"{exact:.6e}", f"{approx:.6e}", f"{exact / approx:.6f}"])
+        rows.append([n, d, f"{exact:.6e}", f"{approx:.6e}", f"{exact / approx:.6e}"])
     result = {f"n={r[0]}": dict(zip(rows[0][1:], r[1:])) for r in rows[1:]}
     _emit(config, result, args.format, csv_rows=rows)
     return 0

@@ -15,7 +15,9 @@ vector, and the rest of the package reads group orders, mirrors, chamber
 walls, lineality, asymptotic scale, walk family and hull points from the same
 record.  A product of chambers, one factor per independent walk, has the
 product of the factors' rows.  ``product_prefix`` expands prod (t + r) over
-any runs of roots: a type's for its row, ``tail_roots`` for a tail.
+any runs of roots: a type's for its row, ``tail_roots`` for a tail.  It keeps
+the expansions of recent runs, so a run close to a stored one is derived from
+it in a few steps: the D_n row from the B_n row, a tail from one at nearby n.
 
 Exact rows are arbitrary-precision integers.  The float twin of
 ``product_prefix`` is ``product_pmf``: the pmf, over the same runs, of the
@@ -121,9 +123,10 @@ class ReflectionType:
         return CoefficientVector(self.prefix(n, n))
 
     def prefix(self, n: int, kmax: int) -> tuple[int, ...]:
-        """The row's coefficients 0..min(kmax, n), from the blocked product
-        tree of ``product_prefix``: the recurrence runs only inside blocks,
-        on small numbers, and the large ones meet in balanced products, which
+        """The row's coefficients 0..min(kmax, n), from ``product_prefix``,
+        which derives each run from a stored neighbour or expands it by a
+        blocked product tree: the recurrence runs only inside blocks, on
+        small numbers, and the large ones meet in balanced products, which
         is what makes exact low-index tail sums cheap at n in the thousands.
         n is checked against EXACT_N_CAP before any run is built."""
         self.check(n)
@@ -229,56 +232,156 @@ def tail_roots(factors: tuple[tuple[ReflectionType, int], ...]) -> tuple[range, 
     return tuple(runs)
 
 
+#: the smallest block of the product tree; a run within this many roots of a
+#: stored run with the same start and step is derived from it
+BLOCK = 64
+#: runs whose expansions the store keeps; the oldest goes first
+STORE_SIZE = 64
+
+
+@lru_cache(maxsize=1)
+def _run_store() -> dict[tuple[int, int, int], tuple[int, ...]]:
+    """(start, step, length) -> the longest prefix of that run's expansion
+    computed so far, for runs of at least BLOCK roots.  It sits behind an
+    ``lru_cache`` so that clearing the module's caches empties it too."""
+    return {}
+
+
 @lru_cache(maxsize=128)
 def product_prefix(runs: tuple[range, ...], kmax: int) -> tuple[int, ...]:
-    """Coefficients 0..kmax of prod (t + r) over the roots r of the runs.
+    """Coefficients 0..kmax of prod (t + r) over the roots r of the runs,
+    which ascend over nonnegative roots, as the types and tails give them.
 
-    A blocked product tree.  The zero roots are factors t, so they shift
-    the indices and are never multiplied.  The other roots go in blocks of
-    max(64, 16 m^2), m the highest index left after the shift; each block
-    is expanded by the recurrence c_k <- r c_k + c_{k-1}, truncated at m,
-    and adjacent block prefixes are multiplied pairwise, truncated at m,
-    until one is left.  The products near the root of the tree multiply
-    numbers of equal size, where CPython's Karatsuba pays (Bernstein, "Fast
-    multiplication and its applications", 2008).  A full row (kmax = number
-    of roots) or fewer than 64 roots is one block, the recurrence alone.
-    The number of roots is capped at EXACT_N_CAP.
+    The truncated product of the runs' expansions.  A zero root is a factor
+    t, so it shifts the indices and is never multiplied.  Equal runs are
+    expanded once and raised to their count by squaring, as in
+    ``product_pmf``.  Each run is expanded by ``_run_prefix``: from a stored
+    neighbour when one is close, else by a blocked product tree.  The
+    number of roots is capped at EXACT_N_CAP.
     """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
     n = sum(map(len, runs))
     check_exact_n(n)
-    roots = [r for r in itertools.chain(*runs) if r]
-    shift = n - len(roots)
-    m = min(kmax - shift, len(roots))
+    runs = [run[1:] if run and run[0] == 0 else run for run in runs]
+    shift = n - sum(map(len, runs))
+    m = min(kmax - shift, n - shift)
     if m < 0:
         return (0,) * (kmax + 1)
-    size = max(64, 16 * m * m)
-    polys = [_expand(roots[i:i + size], m) for i in range(0, len(roots), size)] or [[1]]
-    while len(polys) > 1:
-        polys = [_times(*polys[i:i + 2], m) if i + 1 < len(polys) else polys[i]
-                 for i in range(0, len(polys), 2)]
-    return (0,) * shift + tuple(polys[0]) + (0,) * (kmax - shift - m)
+    row = None
+    # a Counter keeps the runs' first-seen order
+    for run, count in collections.Counter(filter(None, runs)).items():
+        row = _power(row, _run_prefix(run, m), count, lambda a, b: _times(a, b, m))
+    return (0,) * shift + tuple(row or (1,)) + (0,) * (kmax - shift - m)
 
 
-def _expand(roots: list[int], kmax: int) -> list[int]:
-    """Coefficients 0..min(kmax, len(roots)) of prod (t + r): root i
-    updates c_k <- r c_k + c_{k-1} in place for k = min(i, kmax)..1."""
-    top = min(kmax, len(roots))
-    row = [1] + [0] * top
-    # every root past the first top reaches index top, so that range is built once
+def _run_prefix(run: range, m: int) -> tuple[int, ...]:
+    """Coefficients 0..min(m, len(run)) of prod (t + r) over one run.
+
+    A run of at least BLOCK roots is derived, when it can be, from the stored
+    run of the same start and step that is nearest in length, within BLOCK
+    roots, and holds enough coefficients: a longer run multiplies in its
+    extra end roots, and a shorter one divides out the stored run's surplus
+    roots.  That costs the difference in length times the coefficients kept.
+    So the D_n row is the B_n row divided by (t + 2n - 1), times the run of
+    n - 1, and the tails of walks at nearby n share all but a few roots.
+    Otherwise it goes through the blocked product tree: blocks of
+    max(BLOCK, 16 m^2) roots are expanded by the one-root recurrence and
+    adjacent block prefixes are multiplied pairwise, truncated at m, until
+    one is left.  The products near the root of the tree multiply numbers
+    of equal size, where CPython's Karatsuba pays (Bernstein, "Fast
+    multiplication and its applications", 2008).  A full row (m = len(run))
+    is one block, the recurrence alone.  The result joins the store.  A run
+    of fewer than BLOCK roots is one block too, and is not stored.
+    """
+    top = min(m, len(run))
+    if len(run) < BLOCK:
+        return tuple(_expand(run, top))
+    store = _run_store()
+    near = [(length, coeffs) for (start, step, length), coeffs in list(store.items())
+            if (start, step) == (run.start, run.step) and abs(length - len(run)) <= BLOCK
+            # a complete expansion (degree = length) has every coefficient
+            and (len(coeffs) > top or len(coeffs) - 1 == length)]
+    if near:
+        length, coeffs = min(near, key=lambda e: abs(e[0] - len(run)))
+        if length <= len(run):
+            coeffs = _expand(run[length:], top, coeffs)
+        else:
+            stored = range(run.start, run.start + length * run.step, run.step)
+            coeffs = _divide_out(coeffs[:top + 1], stored[len(run):])
+    else:
+        size = max(BLOCK, 16 * top * top)
+        polys = [_expand(run[i:i + size], top) for i in range(0, len(run), size)]
+        while len(polys) > 1:
+            polys = [_times(*polys[i:i + 2], top) if i + 1 < len(polys) else polys[i]
+                     for i in range(0, len(polys), 2)]
+        coeffs = polys[0]
+    coeffs = tuple(coeffs)
+    key = (run.start, run.step, len(run))
+    if len(coeffs) > len(store.get(key, ())):
+        store.pop(key, None)
+        store[key] = coeffs
+        while len(store) > STORE_SIZE:
+            store.pop(next(iter(store)), None)
+    return coeffs
+
+
+def _expand(roots: range, kmax: int, row: tuple[int, ...] = (1,)) -> list[int]:
+    """Coefficients 0..min(kmax, deg + len(roots)) of row times prod (t + r),
+    deg the highest index of row (its highest kept index, if truncated):
+    root i updates c_k <- r c_k + c_{k-1} in place for k = min(deg + i,
+    kmax)..1."""
+    row = list(row[:kmax + 1])
+    deg = len(row) - 1
+    top = min(kmax, deg + len(roots))
+    row += [0] * (top - deg)
+    # every root past the first top - deg reaches index top, so that range is built once
     full = range(top, 0, -1)
-    for i, r in enumerate(roots, 1):
+    for i, r in enumerate(roots, deg + 1):
         for k in range(i, 0, -1) if i < top else full:
             row[k] = r * row[k] + row[k - 1]
         row[0] *= r
     return row
 
 
+def _divide_out(row: tuple[int, ...], roots: range) -> list[int]:
+    """The coefficients of row divided by prod (t + r), as many as row has,
+    from the low end: q_k = (c_k - q_{k-1}) / r.  Each division must leave
+    no remainder; one that does means row has no factor t + r."""
+    for r in roots:
+        quotient, q = [], 0
+        for c in row:
+            q, rest = divmod(c - q, r)
+            if rest:
+                raise ArithmeticError(f"coefficients are not divisible by t + {r}")
+            quotient.append(q)
+        row = quotient
+    return row
+
+
 def _times(a: list[int], b: list[int], kmax: int) -> list[int]:
-    """The product of two coefficient lists, truncated after index kmax."""
-    return [sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
-            for k in range(min(len(a) + len(b) - 2, kmax) + 1)]
+    """The product of two coefficient lists, truncated after index kmax:
+    one pass over the longer list per entry of the shorter, so that a run of
+    one root costs two passes."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * min(len(a) + len(b) - 1, kmax + 1)
+    for j, y in enumerate(b[:len(out)]):
+        for k, x in enumerate(a[:len(out) - j], j):
+            out[k] += x * y
+    return out
+
+
+def _power(head, base, count: int, times: Callable):
+    """head times count copies of base under ``times``, by binary powering;
+    a head of None is the unit, so a count of 1 returns base itself."""
+    while count:
+        if count & 1:
+            head = base if head is None else times(head, base)
+        count >>= 1
+        if count:
+            base = times(base, base)
+    return head
 
 
 #: roots at the start of each run that go through the positive-term
@@ -322,7 +425,7 @@ def product_pmf(runs: tuple[range, ...], kmax: int) -> np.ndarray:
         for r in run[:cut]:
             p = 1.0 / (1.0 + r)
             pmf = np.convolve(pmf, (1.0 - p, p))[:kmax + 1]
-        head = _times_power(head, pmf, count, kmax)
+        head = _power(head, pmf, count, lambda a, b: np.convolve(a, b)[:kmax + 1])
         if len(run) > cut:
             power += count * _odds_power_sums(run[cut:], jmax)
     # signed[j] = (-1)^(j-1) s_j: e_k = sum_j signed[j] e_(k-j) / k, and
@@ -334,21 +437,6 @@ def product_pmf(runs: tuple[range, ...], kmax: int) -> np.ndarray:
     for k in range(1, kmax + 1):
         e[k] = np.dot(e[k - 1::-1], signed[1:k + 1]) / k
     return np.convolve(head, math.exp(log_q) * e)[:kmax + 1]
-
-
-def _times_power(head: np.ndarray, base: np.ndarray, count: int, kmax: int) -> np.ndarray:
-    """head convolved with count copies of base, truncated to kmax + 1
-    terms, by binary powering."""
-    # imported here so that the exact paths never load NumPy
-    import numpy as np
-
-    while count:
-        if count & 1:
-            head = np.convolve(head, base)[:kmax + 1]
-        count >>= 1
-        if count:
-            base = np.convolve(base, base)[:kmax + 1]
-    return head
 
 
 def _odds_power_sums(run: range, jmax: int) -> np.ndarray:

@@ -273,6 +273,10 @@ def test_ld_regime_rounding_to_d_zero_is_a_usage_error(capsys):
     ("exact --family walk-B --steps 100000000000000000000 --dim 2 --float",
      f"absorption tails take at most {sys.maxsize} steps per walk"),
     ("asympt --case B --regime clt --n-grid 1e20", "absorption tails take at most"),
+    # Wendel's r factor pairs are one tuple, whose length a C ssize_t must hold
+    ("exact --family wendel --steps 100000000000000000000 --dim 2",
+     f"wendel takes at most {sys.maxsize} points"),
+    ("exact --family wendel --steps 100000000000000000000 --dim 2 --float", "wendel takes at most"),
     # float("1e400") is inf, which has no int
     ("asympt --case B --regime clt --n-grid 1e400", "--n-grid must list finite step counts"),
 ])
@@ -303,15 +307,22 @@ def test_coeffs_kmax_is_clamped_to_n(capsys):
     assert json.loads(out)["result"]["coefficients"] == list(coefficients.b_row(4).coeffs)
     code, out = run(capsys, *"coeffs --type B --n 3 --kmax 5 --format json".split())
     assert json.loads(out)["result"]["coefficients"] == [15, 23, 9, 1]
+    # far below the n * min(kmax, n) cap
+    code, out = run(capsys, *"coeffs --type B --n 1500 --kmax 3 --format json".split())
+    with _no_digit_limit():
+        assert code == 0 and [int(c) for c in json.loads(out)["result"]["coefficients"]] == list(b_prefix(1500, 3))
 
 
 def test_fixed_regime_past_the_factorial_range(capsys):
     # (d - 1)! as a float overflows from d = 172; log space keeps the term
     code, out = run(capsys, *"asympt --case A --regime fixed --d 200 --n-grid 1000 --format csv".split())
     assert code == 0
-    n, d, _, approx, _ = out.splitlines()[-1].split(",")
+    n, d, exact, approx, ratio = out.splitlines()[-1].split(",")
     want = 2 * math.exp(199 * math.log(math.log(1000)) - math.lgamma(200)) / 1000
     assert (n, d) == ("1000", "200") and float(approx) == pytest.approx(want, rel=1e-6)
+    # the ratio, about 1.8e208, is printed in .6e like the other columns, not in 209 digits
+    assert re.fullmatch(r"\d\.\d{6}e[+-]\d+", ratio)
+    assert float(ratio) == pytest.approx(float(exact) / float(approx), rel=1e-5)
 
 
 def test_a_grid_without_step_counts_is_a_usage_error(capsys):
@@ -568,6 +579,9 @@ def test_first_nnls_import_on_pool_threads_keeps_the_estimate():
     "cone volumes --type D --n {n}",
     "cone steiner --type B --n {n}",
     "cone crofton --type A --n {n} --codim 2 --samples 10",
+    # a prefix whose n * min(kmax, n) passes the cap's square does a full row's work
+    "coeffs --type B --n {n} --kmax {n}",
+    "coeffs --type D --n 5000 --kmax 100000000000000000000",
 ])
 def test_full_rows_past_the_cap_are_a_usage_error(capsys, monkeypatch, argv):
     def no_row(*args):
@@ -579,6 +593,27 @@ def test_full_rows_past_the_cap_are_a_usage_error(capsys, monkeypatch, argv):
     assert captured.out == ""
     assert f"capped at n={cli.FULL_ROW_N_CAP}" in captured.err
     assert ("--kmax" in captured.err) == argv.startswith("coeffs")
+
+
+@pytest.mark.parametrize("grid", [0, -1, cli.STEINER_GRID_CAP + 1, 10**9])
+def test_steiner_grid_outside_its_range_is_a_usage_error(capsys, monkeypatch, grid):
+    import numpy as np
+
+    def no_call(*args):
+        raise AssertionError("the grid was checked too late")
+
+    # --grid 10^9 once asked np.linspace for 8 GB; here nothing is allocated
+    monkeypatch.setattr(np, "linspace", no_call)
+    monkeypatch.setattr(cones, "weyl_intrinsic_volumes", no_call)
+    assert cli.main(f"cone steiner --type B --n 3 --grid {grid}".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [captured.err.strip()]
+    assert f"--grid must lie in [1, {cli.STEINER_GRID_CAP}]; got {grid}" in captured.err
+
+
+def test_steiner_grid_of_one_point(capsys):
+    code, out = run(capsys, *"cone steiner --type B --n 3 --grid 1 --format csv".split())
+    assert code == 0 and out.splitlines()[-2:] == ["lambda,cdf", "0.000000,0.0208333333"]
 
 
 class _Reached(Exception):

@@ -42,14 +42,15 @@ GOLDEN = [
      "ea9f739ac885c815c28577f4aba2d713a109e8716ad22a65cb13062aa349c9cc"),
     ("cone crofton --type B --n 3 --codim 2 --samples 20000 --format json",
      "94a610c71d02e61d0b6019520ab0f332c27bca944bb64589371825b5707bafed"),
+    # the asympt ratio column is printed as .6e, like the other columns
     ("asympt --case A --regime fixed --d 2 --format csv",
-     "6321eb6d4334d5e1fdcc21dc1237ec1044ab7afd6a8e6a6c755d0481d9f26815"),
+     "f1d297cda572e8f36fd7de19b17d6d2764613d6fcbddb0c8d03b349437658e95"),
     ("asympt --case B --regime clt --format json",
-     "ff1fac956fa164882a6581c9727def51dbf1f28393fd2b082d398e1a53323b22"),
+     "ee80a83d7d1c49530ccd9bee1569bb61cc95417c9e28840318402489f1d5ae64"),
     ("asympt --case A --regime ld --x 2.0",
-     "3324fe53a4acb15d0e94f8eefe231551f872f1aa89f148353125cc4e8c179b32"),
+     "a8c312920ff4101a5b716934b8a68477955fe351dbc0f20b371120ae85909da6"),
     ("asympt --case D --regime ld --x 0.5 --format csv",
-     "73fcac24183728ea8f5a5bf70bc786bc6f68250d4c8dab036c97dd5971804e57"),
+     "2c759437a5e1ab0815ca19fca1ccda3812ead1ee32dade4d9b8257fa7fb47f39"),
     ("simulate --model gaussian --family walk-B --steps 6 --dim 2 --samples 20000 --format json",
      "56332a00a8104ebf8abec1b0055b00871bd86ad79a189a2f2d1e7f7bd5d25617"),
     # d >= 3: the batched hull test's separation bound and its min-norm fallback

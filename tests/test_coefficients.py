@@ -119,6 +119,65 @@ def test_product_prefix_matches_the_plain_recurrence(data):
     assert coef.product_prefix(runs, kmax) == plain_prefix(chain(*runs), kmax)
 
 
+# lengths on either side of a stored run: within and just past BLOCK = 64 roots
+_OFFSETS = st.one_of(st.sampled_from([-65, -64, -63, -1, 0, 1, 63, 64, 65]), st.integers(-70, 70))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_runs_derived_from_stored_neighbours_match_the_plain_recurrence(data):
+    # runs that share (start, step) as the tails of nearby n and the B and D
+    # rows do, so each is derived from a stored one where one is close
+    start, step = data.draw(st.integers(0, 20), label="start"), data.draw(st.integers(1, 3), label="step")
+    base = data.draw(st.integers(64, 140), label="base length")
+    for _ in range(data.draw(st.integers(1, 6), label="calls")):
+        if data.draw(st.booleans(), label="clear the store"):
+            coef._run_store.cache_clear()
+        length = max(0, base + data.draw(_OFFSETS, label="offset"))
+        run = range(start, start + step * length, step)
+        # a D row's second run, n - 1
+        runs = (run,) + data.draw(st.sampled_from([(), (range(length, length + 1),)]), label="extra")
+        n = sum(map(len, runs))
+        kmax = data.draw(st.one_of(st.integers(0, 5), st.just(n), st.integers(0, n + 2)), label="kmax")
+        assert coef.product_prefix(runs, kmax) == plain_prefix(chain(*runs), kmax)
+
+
+def test_clearing_the_module_caches_empties_the_run_store():
+    coef.b_prefix(300, 4)
+    assert coef._run_store()
+    for value in vars(coef).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert coef._run_store() == {}
+
+
+def test_d_row_is_derived_from_the_b_row(monkeypatch):
+    n = 300
+    coef.product_prefix.cache_clear()
+    coef._run_store.cache_clear()
+    fresh = coef.d_row(n)
+    coef.product_prefix.cache_clear()
+    coef._run_store.cache_clear()
+    coef.b_row(n)
+    expand = coef._expand
+
+    def short_expand(roots, *args):
+        assert len(roots) < coef.BLOCK, "a run went through the product tree"
+        return expand(roots, *args)
+
+    # D_n's long run is B_n's less the root 2n - 1, so it is divided out of the
+    # stored B row; only the one root n - 1 is expanded
+    monkeypatch.setattr(coef, "_expand", short_expand)
+    assert coef.d_row(n) == fresh
+
+
+def test_dividing_out_a_root_that_is_not_a_factor_raises():
+    # (t + 1)(t + 2) = t^2 + 3t + 2
+    assert coef._divide_out((2, 3, 1), range(2, 3)) == [1, 1, 0]
+    with pytest.raises(ArithmeticError, match="not divisible by t \\+ 3"):
+        coef._divide_out((2, 3, 1), range(3, 4))
+
+
 @dataclass(frozen=True)
 class PoissonBinomialPMF:
     """Distribution of a sum of independent Bernoulli(p_i) variables."""
