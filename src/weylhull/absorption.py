@@ -3,9 +3,9 @@
 Each family's roots hold a root 1, and type A one zero root per bridge (its
 lineality L), so the chamber's row is t^L (t + 1) R(t).  The paper's sum of
 every other coefficient of the row, over the group order |G|, is then a lower
-tail: non_absorb = (R_0 + ... + R_{d-1}) / (|G| / 2) = P(Y <= d - 1), where Y
+tail: non_absorb = (R_0 + ... + R_{d-1}) / R(1) = P(Y <= d - 1), where Y
 sums independent Bernoulli(1/(1 + r)) over R's roots, ``coefficients.tail_roots``,
-whose prod (1 + r) is |G| / 2.  A has its root 1 from n >= 2, its smallest
+and R(1) = prod (1 + r) is |G| / 2.  A has its root 1 from n >= 2, its smallest
 chamber; for r one-step walks Y is r - 1 fair coins (Wendel).  Only the step
 count, the dimension, and the symmetry type enter.
 """
@@ -23,6 +23,10 @@ from . import coefficients as coef
 _DIRECT_ABSORB = 1e-3
 #: terms of the pmf from d up that the direct upper sum covers
 _UPPER_MARGIN = 40
+#: most pmf terms the float route computes; its Newton loop is quadratic in
+#: them: d = 80,000 takes about 4.5 s on a 2-core host, and a larger d asked
+#: NumPy for terabytes
+FLOAT_KMAX_CAP = 100_000
 
 #: kind -> steps -> the family's factors, one (type, steps) pair per
 #: independent walk: a joint walk is a product of type-B chambers, and
@@ -40,8 +44,8 @@ class WalkFamily:
     """A walk/bridge family: symmetry type, step count(s) and dimension.
 
     The family's chamber is the direct product of its factors' chambers, so
-    its row is the product of their rows and its group order, lineality and
-    step count are the factors' totals.  kind 'joint-B' takes a tuple of step
+    its row is the product of their rows and its lineality and step count
+    are the factors' totals.  kind 'joint-B' takes a tuple of step
     counts, 'wendel' one point count r, and the others one step count.
     """
 
@@ -80,10 +84,6 @@ class WalkFamily:
         return sum(t.lineality for t, _ in self.factors)
 
     @property
-    def group_order(self) -> int:
-        return math.prod(t.order(n) for t, n in self.factors)
-
-    @property
     def within_hypotheses(self) -> bool:
         return self.n_total >= self.dimension + self.lineality
 
@@ -111,7 +111,7 @@ def absorption_probability(family: WalkFamily) -> AbsorptionResult:
     runs = coef.tail_roots(family.factors)
     # coefficients past the number of roots are 0
     prefix = coef.product_prefix(runs, min(family.dimension - 1, sum(map(len, runs))))
-    non_absorb = Fraction(2 * sum(prefix), family.group_order)
+    non_absorb = Fraction(sum(prefix), coef.product_at_one(runs))
     return AbsorptionResult(1 - non_absorb, non_absorb, family.within_hypotheses)
 
 
@@ -144,7 +144,11 @@ def float_tails(family: WalkFamily) -> tuple[float, float]:
     """
     d = family.dimension
     runs = coef.tail_roots(family.factors)
-    pmf = coef.product_pmf(runs, min(d - 1 + _UPPER_MARGIN, sum(map(len, runs))))
+    kmax = min(d - 1 + _UPPER_MARGIN, sum(map(len, runs)))
+    if kmax > FLOAT_KMAX_CAP:
+        raise ValueError(f"the float route computes at most {FLOAT_KMAX_CAP} pmf terms, "
+                         f"min(d + {_UPPER_MARGIN - 1}, number of roots); got {kmax} at d={d}")
+    pmf = coef.product_pmf(runs, kmax)
     non_absorb = float(pmf[:d].sum())
     absorb = 1.0 - non_absorb
     if absorb < _DIRECT_ABSORB:

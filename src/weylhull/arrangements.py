@@ -138,10 +138,21 @@ class Subspace:
 
 
 def build_reflection_arrangement(kind: str, n: int) -> Arrangement:
-    """Mirror arrangement of the reflection group A_{n-1}, B_n or D_n in R^n."""
+    """Mirror arrangement of the reflection group A_{n-1}, B_n or D_n in R^n:
+    the walls closed under their reflections, which generate the group.  It
+    reads no roots, so deletion-restriction on it is independent of the rows.
+    The sort lists units, e_i - e_j, then e_i + e_j, each lexicographically."""
     t = reflection_type(kind)
     t.check_chamber(n)
-    return Arrangement(n, tuple(Hyperplane(v) for v in t.mirrors(n)))
+    walls = [(w, _dot(w, w)) for w in t.walls(n)]
+    mirrors = frontier = {Hyperplane(w) for w, _ in walls}
+    while frontier:
+        # v reflected in w, times w.w: (w.w) v - 2 (w.v) w
+        frontier = {Hyperplane([ww * a - c * b for a, b in zip(h.normal, w)])
+                    for h in frontier for w, ww in walls for c in [2 * _dot(w, h.normal)]} - mirrors
+        mirrors |= frontier
+    key = lambda h: (sum(map(bool, h.normal)), sum(h.normal), [-abs(x) for x in h.normal])
+    return Arrangement(n, tuple(sorted(mirrors, key=key)))
 
 
 def whitney_characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
@@ -240,9 +251,14 @@ def characteristic_polynomial(arr: Arrangement) -> CharacteristicPolynomial:
 @lru_cache(maxsize=64)
 def enumerate_regions(arr: Arrangement) -> frozenset[tuple[int, ...]]:
     """All sign vectors of nonempty open regions, by deletion and restriction."""
-    if arr.size > ENUMERATION_CAP:
-        raise CapExceededError(f"region enumeration capped at {ENUMERATION_CAP} hyperplanes")
+    check_enumeration(arr.size)
     return frozenset(_witnesses(arr))
+
+
+def check_enumeration(size: int) -> None:
+    """Region enumeration is capped at ENUMERATION_CAP hyperplanes."""
+    if size > ENUMERATION_CAP:
+        raise CapExceededError(f"region enumeration capped at {ENUMERATION_CAP} hyperplanes")
 
 
 @lru_cache(maxsize=256)

@@ -224,7 +224,9 @@ def _cmd_arrangement(args) -> int:
         with open(args.file) as fh:
             arr = arr_mod.parse_arrangement(fh.read())
     elif args.type and args.n:
-        arr = arr_mod.build_reflection_arrangement(args.type, args.n)
+        # a type's χ is its row, since deletion-restriction takes seconds from B10
+        TYPES[args.type].check_chamber(args.n)
+        _check_full_row(args.n)
     else:
         raise ValueError("arrangement commands need --file or --type with --n")
     config = {
@@ -234,10 +236,17 @@ def _cmd_arrangement(args) -> int:
     }
     if args.action == "intersect" and args.codim is None:
         raise ValueError("intersect needs --codim")
-    # enumeration checks ENUMERATION_CAP, so a capped `regions` exits before
-    # it computes χ, which takes seconds past the cap
-    enumerated = len(arr_mod.enumerate_regions(arr)) if args.action == "regions" else None
-    chi = arr_mod.characteristic_polynomial(arr)
+    enumerated = None
+    if args.action == "regions":
+        if not args.file:
+            # a type has sum r mirrors (Humphreys 1990, 3.9), counted before they are built
+            arr_mod.check_enumeration(sum(map(sum, TYPES[args.type].roots(args.n))))
+            arr = arr_mod.build_reflection_arrangement(args.type, args.n)
+        # enumeration checks ENUMERATION_CAP, so a capped `regions` exits
+        # before it computes χ, which takes seconds past the cap
+        enumerated = len(arr_mod.enumerate_regions(arr))
+    chi = (arr_mod.characteristic_polynomial(arr) if args.file
+           else arr_mod.reflection_characteristic_polynomial(args.type, args.n))
     if args.action == "charpoly":
         result = {"a": list(chi.a), "regions": arr_mod.zaslavsky_region_count(chi)}
     elif args.action == "regions":

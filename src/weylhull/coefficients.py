@@ -10,14 +10,14 @@ give the ascending-power coefficient row of prod_i (t + r_i):
 
 The record keeps them as ``range``s, so n can run far past the exact cap.
 
-The row divided by the group order is the chamber's conic intrinsic volume
-vector, and the rest of the package reads group orders, mirrors, chamber
-walls, lineality, asymptotic scale, walk family and hull points from the same
-record.  A product of chambers, one factor per independent walk, has the
-product of the factors' rows.  ``product_prefix`` expands prod (t + r) over
-any runs of roots: a type's for its row, ``tail_roots`` for a tail.  It keeps
-the expansions of recent runs, so a run close to a stored one is derived from
-it in a few steps: the D_n row from the B_n row, a tail from one at nearby n.
+A record states roots, walls and the walk; the rest derives.  The row over its
+sum, the group order, is the chamber's conic intrinsic volumes; the lineality
+counts zero roots; the mirrors close the walls under their reflections.  A
+product of chambers, one factor per independent walk, has the product of the
+factors' rows.  ``product_prefix`` expands prod (t + r) over any runs of
+roots: a type's for its row, ``tail_roots`` for a tail.  It keeps the
+expansions of recent runs, so a run close to a stored one is derived from it
+in a few steps: the D_n row from the B_n row, a tail from one at nearby n.
 
 Exact rows are arbitrary-precision integers.  The float twin of
 ``product_prefix`` is ``product_pmf``: the pmf, over the same runs, of the
@@ -27,11 +27,10 @@ coefficient k divided by prod (1 + r).
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -87,22 +86,24 @@ class ReflectionType:
     #: characteristic roots r_1..r_n as ascending ``range``s, so arithmetic
     #: runs over start, step and length and no list of n roots is built
     roots: Callable[[int], tuple[range, ...]]
-    #: group order, in closed form
-    order: Callable[[int], int]
     #: smallest n whose roots define a row
     min_n: int
-    #: dimension of the chamber's lineality space (the line R(1, ..., 1) for A)
-    lineality: int
-    #: asymptotic scale: the absorption transition sits at d = u log n
-    u: float
-    #: mirror normals in R^n, in the order the arrangement lists them
-    mirrors: Callable[[int], list[tuple[int, ...]]]
     #: the chamber's walls: normals g with the chamber {x : g . x >= 0}
     walls: Callable[[int], list[tuple[int, ...]]]
     #: the walk family whose absorption probability the row gives
     walk: str
     #: increments (count, n, d) -> the walk's hull points (count, m, d)
     hull_points: Callable[[np.ndarray], np.ndarray]
+
+    @cached_property
+    def lineality(self) -> int:
+        """Dimension of the chamber's lineality space: the zero roots' count."""
+        return sum(0 in run for run in self.roots(self.min_n))
+
+    @cached_property
+    def u(self) -> float:
+        """Scale of the absorption transition at d = u log n: 1 / first run's step."""
+        return 1 / self.roots(self.min_n)[0].step
 
     def check(self, n: int) -> None:
         if n < self.min_n:
@@ -137,20 +138,6 @@ class ReflectionType:
 # ---------------------------------------------------------------------------
 # The three reflection types
 
-def _pairs(n: int, sign: int) -> list[tuple[int, ...]]:
-    """e_i + sign * e_j for i < j, in lexicographic order of (i, j)."""
-    out = []
-    for i, j in itertools.combinations(range(n), 2):
-        v = [0] * n
-        v[i], v[j] = 1, sign
-        out.append(tuple(v))
-    return out
-
-
-def _units(n: int) -> list[tuple[int, ...]]:
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-
-
 def _chain(n: int) -> list[tuple[int, ...]]:
     """e_{i+1} - e_i for i = 1..n-1: the walls of x_1 <= x_2 <= ... <= x_n."""
     return [tuple(int(j == i + 1) - int(j == i) for j in range(n)) for i in range(n - 1)]
@@ -170,22 +157,17 @@ TYPES = {
     t.name: t
     for t in (
         ReflectionType(
-            "A", roots=lambda n: (range(n),), order=math.factorial, min_n=1,
-            lineality=1, u=1.0, mirrors=lambda n: _pairs(n, -1), walls=_chain, walk="bridge-A",
+            "A", roots=lambda n: (range(n),), min_n=1, walls=_chain, walk="bridge-A",
             # the centred walk's final sum is 0 by construction, so it is dropped
             hull_points=lambda inc: (inc - inc.mean(axis=1, keepdims=True)).cumsum(axis=1)[:, :-1],
         ),
         ReflectionType(
-            "B", roots=lambda n: (range(1, 2 * n, 2),),
-            order=lambda n: 2**n * math.factorial(n), min_n=1, lineality=0, u=0.5,
-            mirrors=lambda n: _units(n) + _pairs(n, -1) + _pairs(n, 1),
-            walls=lambda n: _units(n)[:1] + _chain(n), walk="walk-B",
+            "B", roots=lambda n: (range(1, 2 * n, 2),), min_n=1,
+            walls=lambda n: [(1,) + (0,) * (n - 1)] + _chain(n), walk="walk-B",
             hull_points=lambda inc: inc.cumsum(axis=1),
         ),
         ReflectionType(
-            "D", roots=lambda n: (range(1, 2 * n - 2, 2), range(n - 1, n)),
-            order=lambda n: 2 ** (n - 1) * math.factorial(n), min_n=2, lineality=0, u=0.5,
-            mirrors=lambda n: _pairs(n, -1) + _pairs(n, 1),
+            "D", roots=lambda n: (range(1, 2 * n - 2, 2), range(n - 1, n)), min_n=2,
             walls=lambda n: [(1, 1) + (0,) * (n - 2)] + _chain(n), walk="walk-D",
             hull_points=_reflected_walk_points,
         ),
@@ -205,6 +187,19 @@ def check_exact_n(n: int) -> None:
     if n > EXACT_N_CAP:
         raise ExactModeCapError(f"exact computation capped at n={EXACT_N_CAP}; "
                                 f"got n={n} (use the float route for large n)")
+
+
+def product_at_one(runs: tuple[range, ...]) -> int:
+    """prod (1 + r) over the runs' roots r, their row at t = 1: a type's group
+    order (Humphreys 1990, 3.9).  A run c, c + s, ... of m roots gives s^m
+    q (q + 1) ... (q + m - 1), q = (1 + c) / s, an integer for every type."""
+    out = 1
+    for run in runs:
+        q, m = (run.start + 1) // run.step, len(run)
+        # two factorials are faster than perm while the product starts low
+        out *= run.step**m * (math.factorial(q + m - 1) // math.factorial(q - 1) if q <= m
+                              else math.perm(q + m - 1, m))
+    return out
 
 
 def tail_roots(factors: tuple[tuple[ReflectionType, int], ...]) -> tuple[range, ...]:

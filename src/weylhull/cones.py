@@ -64,10 +64,6 @@ class WeylChamber:
     def __post_init__(self):
         coef.reflection_type(self.kind).check_chamber(self.n)
 
-    @property
-    def group_order(self) -> int:
-        return coef.TYPES[self.kind].order(self.n)
-
     def lineality(self) -> np.ndarray | None:
         """The direction spanning the lineality line, if any: the walls' kernel."""
         kernel = exactlp.integer_nullspace(coef.TYPES[self.kind].walls(self.n), self.n)
@@ -95,9 +91,11 @@ class WeylChamber:
 
 def weyl_intrinsic_volumes(kind: str, n: int) -> IntrinsicVolumeVector:
     """Exact conic intrinsic volumes of the Weyl chamber: the coefficient
-    row of the matching reflection group divided by the group order."""
-    order = WeylChamber(kind, n).group_order
-    row = coef.TYPES[kind].row(n).coeffs
+    row of the matching reflection group divided by its sum, the group order."""
+    t = coef.reflection_type(kind)
+    t.check_chamber(n)
+    row = t.row(n).coeffs
+    order = sum(row)
     return IntrinsicVolumeVector(n, tuple(Fraction(c, order) for c in row))
 
 
@@ -267,5 +265,5 @@ def klivans_swartz_check(kind: str, n: int) -> bool:
     """
     vols = weyl_intrinsic_volumes(kind, n)
     chi = characteristic_polynomial(build_reflection_arrangement(kind, n)).a
-    order = coef.TYPES[kind].order(n)
+    order = coef.product_at_one(coef.TYPES[kind].roots(n))
     return all(chi[k] == order * vols.v[k] for k in range(n + 1))

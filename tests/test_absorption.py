@@ -20,6 +20,8 @@ from weylhull.absorption import (
     wendel_probability,
 )
 
+from closed_forms import family_order
+
 
 def test_walk_b_one_dimensional():
     assert absorption_probability(WalkFamily("walk-B", 3, 1)).absorb == Fraction(3, 8)
@@ -164,9 +166,9 @@ def _assert_parity_sums(fam, row):
     # d - 3 + L, ... for non_absorb and d + 1 + L, d + 3 + L, ... for absorb
     start = fam.dimension - 1 + fam.lineality
     res = absorption_probability(fam)
-    assert res.non_absorb == Fraction(2 * sum(row[k] for k in range(start, -1, -2) if k < len(row)),
-                                      fam.group_order)
-    assert res.absorb == Fraction(2 * sum(row[start + 2::2]), fam.group_order)
+    order = family_order(fam.factors)
+    assert res.non_absorb == Fraction(2 * sum(row[k] for k in range(start, -1, -2) if k < len(row)), order)
+    assert res.absorb == Fraction(2 * sum(row[start + 2::2]), order)
 
 
 def _families_up_to(nmax):
@@ -254,6 +256,10 @@ def test_wendel_reads_its_repeated_factor_once(monkeypatch):
 
     monkeypatch.setitem(coef.TYPES, "B", dataclasses.replace(b, roots=roots))
     monkeypatch.setattr(coef.ReflectionType, "chamber_min_n", property(counted_min_n))
+    # the patched record's lineality and u each read its roots once, when
+    # first asked for; the count starts after that
+    assert (coef.TYPES["B"].lineality, coef.TYPES["B"].u) == (0, 0.5)
+    roots_calls.clear()
     r, d = 1000, 2
     assert float_tails(WalkFamily("wendel", r, d))[1] == pytest.approx(float(wendel_probability(r, d)), rel=1e-12)
     assert roots_calls == [1] and min_n_reads == ["B"]

@@ -16,6 +16,7 @@ from weylhull import exactlp
 from weylhull.coefficients import reflection_type
 
 import lp_oracle
+from closed_forms import MIRRORS
 
 
 def _reflection(kind, n):
@@ -172,6 +173,29 @@ def test_whitney_matches_the_closed_form_and_deletion_restriction(kind, n):
     chi = arr_mod.whitney_characteristic_polynomial(arr)
     assert chi == arr_mod.reflection_characteristic_polynomial(kind, n)
     assert chi == arr_mod.characteristic_polynomial(arr)
+
+
+def test_mirrors_are_the_closed_form_lists_in_their_order():
+    # the walls closed under their reflections, against e_i +- e_j and e_i
+    for kind in "ABD":
+        for n in range(reflection_type(kind).chamber_min_n, 13):
+            assert [h.normal for h in _reflection(kind, n).hyperplanes] == MIRRORS[kind](n), (kind, n)
+
+
+def test_mirrors_and_their_deletion_restriction_never_read_the_roots(monkeypatch):
+    # deletion-restriction is the independent side of the Klivans-Swartz
+    # check only while neither it nor the mirrors read the roots
+    cases = [(kind, n) for kind in "ABD" for n in range(reflection_type(kind).chamber_min_n, 6)]
+    want = {case: arr_mod.reflection_characteristic_polynomial(*case) for case in cases}
+
+    def roots(n):
+        raise AssertionError("the roots were read")
+
+    for kind in "ABD":
+        monkeypatch.setitem(vars(reflection_type(kind)), "roots", roots)
+    arr_mod.characteristic_polynomial.cache_clear()
+    for case in cases:
+        assert arr_mod.characteristic_polynomial(arr_mod.build_reflection_arrangement(*case)) == want[case]
 
 
 @pytest.mark.parametrize("kind, n, bound", [("D", 4, 1000), ("B", 4, 4000)])

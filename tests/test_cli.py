@@ -15,7 +15,7 @@ import pytest
 from test_cli_golden import GOLDEN
 from weylhull import arrangements as arr_mod
 from weylhull import cli, coefficients, cones, mc, verify, walks
-from weylhull.absorption import WalkFamily, absorption_probability, absorption_probability_float
+from weylhull.absorption import FLOAT_KMAX_CAP, WalkFamily, absorption_probability, absorption_probability_float
 from weylhull.coefficients import EXACT_N_CAP, b_prefix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -143,16 +143,32 @@ def test_charpoly_and_intersect_past_the_whitney_cap(capsys, kind, n):
     assert json.loads(out)["result"] == {"count": arr_mod.intersected_region_count(chi, 2)}
 
 
+def test_type_charpoly_is_the_row_past_deletion_restriction(capsys, monkeypatch):
+    # deletion-restriction takes seconds from B10 and its mirrors grow as n^2
+    def no_arrangement(*args):
+        raise AssertionError("χ of a type was computed from its mirrors")
+
+    monkeypatch.setattr(arr_mod, "characteristic_polynomial", no_arrangement)
+    monkeypatch.setattr(arr_mod, "build_reflection_arrangement", no_arrangement)
+    code, out = run(capsys, "arrangement", "charpoly", "--type", "B", "--n", "30", "--format", "json")
+    assert code == 0
+    assert [int(a) for a in json.loads(out)["result"]["a"]] == list(coefficients.b_row(30).coeffs)
+
+
 @pytest.mark.parametrize("argv", [
     "arrangement regions --type B --n 5",
     # χ of B10 takes seconds; the cap is checked first
     "arrangement regions --type B --n 10",
+    # and before the type's 10,000 mirrors are built
+    "arrangement regions --type B --n 100",
 ])
 def test_capped_arrangement_is_a_usage_error(capsys, monkeypatch, argv):
-    def no_chi(arr):
-        raise AssertionError("χ was computed before the enumeration cap was checked")
+    def no_chi(*args):
+        raise AssertionError("χ or the mirrors were computed before the enumeration cap was checked")
 
     monkeypatch.setattr(arr_mod, "characteristic_polynomial", no_chi)
+    monkeypatch.setattr(arr_mod, "reflection_characteristic_polynomial", no_chi)
+    monkeypatch.setattr(arr_mod, "build_reflection_arrangement", no_chi)
     assert cli.main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -480,6 +496,29 @@ def _fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
+_UNDER_AN_ADDRESS_LIMIT = """
+import contextlib, io, resource, sys
+# a regression asks NumPy for terabytes, which fails at once under this limit
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from weylhull import cli
+for argv in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv.split())
+    assert (code, out.getvalue()) == (2, ""), (argv, code, err.getvalue()[-300:])
+    print(err.getvalue(), end="")
+"""
+
+
+def test_float_route_bounds_its_pmf_before_it_allocates():
+    # kmax = min(d + 39, roots) once asked for 7.28 TiB
+    lines = _fresh(_UNDER_AN_ADDRESS_LIMIT,
+                   "exact --family walk-B --steps 1000000000000 --dim 1000000000000 --float",
+                   "asympt --case B --regime clt --d 1000000000000 --n-grid 1000000000000").stdout.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error: ") and f"at most {FLOAT_KMAX_CAP} pmf terms" in line for line in lines)
+
+
 _NO_NUMPY_UNTIL_SAMPLING = """
 import contextlib, hashlib, io, sys
 
@@ -500,7 +539,9 @@ def run(argv):
 for argv in ("exact --family walk-B --steps 10 --dim 2",
              "exact --family bridge-A --steps 9 --dim 2 --format json",
              "coeffs --type B --n 60 --kmax 3",
-             "arrangement charpoly --type D --n 4"):
+             "arrangement charpoly --type D --n 4",
+             # builds the mirrors, which close the walls in integers
+             "arrangement regions --type B --n 3"):
     run(argv)
     assert not loaded("numpy", "scipy"), (argv, loaded("numpy", "scipy")[:5])
     # nor the thread pool, which only a multi-threaded sampling run starts
@@ -582,6 +623,9 @@ def test_first_nnls_import_on_pool_threads_keeps_the_estimate():
     # a prefix whose n * min(kmax, n) passes the cap's square does a full row's work
     "coeffs --type B --n {n} --kmax {n}",
     "coeffs --type D --n 5000 --kmax 100000000000000000000",
+    # a type's χ is its row
+    "arrangement charpoly --type B --n {n}",
+    "arrangement intersect --type A --n {n} --codim 2",
 ])
 def test_full_rows_past_the_cap_are_a_usage_error(capsys, monkeypatch, argv):
     def no_row(*args):

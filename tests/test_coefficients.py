@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from weylhull import coefficients as coef
 
+from closed_forms import LINEALITY, ORDERS, U
+
 
 def test_stirling_row_small():
     assert coef.stirling_row(1).coeffs == (0, 1)
@@ -34,6 +36,13 @@ def test_row_sums_are_group_orders():
         assert sum(coef.b_row(n).coeffs) == 2**n * math.factorial(n)
         if n >= 2:
             assert sum(coef.d_row(n).coeffs) == 2 ** (n - 1) * math.factorial(n)
+
+
+def test_derived_fields_match_the_closed_forms():
+    for name, t in coef.TYPES.items():
+        assert (t.lineality, t.u) == (LINEALITY[name], U[name])
+        for n in range(t.min_n, 301):
+            assert coef.product_at_one(t.roots(n)) == ORDERS[name](n), (name, n)
 
 
 def stirling_unsigned(n: int, k: int) -> int:

@@ -14,6 +14,8 @@ from weylhull import coefficients, cones, exactlp, mc, verify
 from weylhull.arrangements import build_reflection_arrangement, characteristic_polynomial
 from weylhull.coefficients import TYPES
 
+from closed_forms import ORDERS
+
 
 def test_intrinsic_volumes_small():
     v = cones.weyl_intrinsic_volumes("B", 2)
@@ -62,9 +64,9 @@ def walls(chamber):
 
 
 def test_chamber_group_orders():
-    assert cones.WeylChamber("A", 4).group_order == 24
-    assert cones.WeylChamber("B", 3).group_order == 48
-    assert cones.WeylChamber("D", 3).group_order == 24
+    # the derived order, the row at t = 1, and its closed form
+    for kind, n, order in (("A", 4, 24), ("B", 3, 48), ("D", 3, 24)):
+        assert coefficients.product_at_one(TYPES[kind].roots(n)) == ORDERS[kind](n) == order
 
 
 def rays(chamber):
@@ -137,7 +139,7 @@ def test_group_elements_are_the_whole_reflection_group(kind):
     for n in range(TYPES[kind].chamber_min_n, 6):
         ch = cones.WeylChamber(kind, n)
         g = ch.group_elements()
-        assert g.shape == (TYPES[kind].order(n), n, n)
+        assert g.shape == (ORDERS[kind](n), n, n)
         assert len({m.tobytes() for m in g}) == len(g)
         # signed permutation matrices: one entry +-1 in each row and column
         assert np.all(np.abs(g).sum(axis=1) == 1) and np.all(np.abs(g).sum(axis=2) == 1)

@@ -11,6 +11,7 @@ from weylhull.arrangements import (Subspace, build_reflection_arrangement, count
 from weylhull.coefficients import TYPES
 
 import lp_oracle
+from closed_forms import ORDERS
 
 
 def sample_increments(model, n, seed=mc.DEFAULT_SEED):
@@ -249,7 +250,7 @@ def test_chamber_count_matches_the_closed_count_on_the_integer_kernel(group, n):
             if not kernel:
                 want = 0
             elif len(kernel) == n:
-                want = t.order(n)
+                want = ORDERS[group](n)
             else:
                 sub = Subspace(n, tuple(map(tuple, kernel)))
                 want = count_regions_meeting_subspace(arr, sub, "closed").count
